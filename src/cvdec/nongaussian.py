@@ -169,7 +169,8 @@ def cat_purity_t(cat: CatState, bath: BathParams, t: float) -> float:
             d = ci - cj
             total += wi * wj * np.exp(-0.25 * (d @ inv @ d))
     value = total / (8.0 * (1.0 + math.cos(cat.theta) * e) ** 2 * math.sqrt(det))
-    assert abs(value.imag) < 1e-10
+    if not abs(value.imag) < 1e-10:
+        raise ArithmeticError(f"cat purity has imaginary part {value.imag:.2e}")
     return float(value.real)
 
 

@@ -1,6 +1,6 @@
 """Numerical backbone: special functions, phase-space quadrature, a
-truncated-Fock master-equation integrator, and small-degree polynomial
-root finding.
+truncated-Fock master equation stepped by ``expm_multiply``, and
+small-degree polynomial root finding.
 
 Everything in this module is deliberately independent of the closed-form
 layers (``channels``, ``nongaussian``, ``two_mode``) so that it can serve
@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse.linalg import expm_multiply
 
 __all__ = [
     "QuadratureSpec",
@@ -158,6 +160,8 @@ class QuadratureSpec:
     def __post_init__(self):
         if self.tol <= 0:
             raise ValueError("tolerance must be positive")
+        if self.max_refinements < 1:  # the error estimate needs two levels
+            raise ValueError("max_refinements must be at least 1")
         for lo, hi in self.extents:
             if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
                 raise ValueError("extents must be finite nondegenerate intervals")
@@ -229,7 +233,6 @@ def integrate_phase_space(f: Callable[[np.ndarray], np.ndarray],
             if err <= spec.tol:
                 return best
         prev = value
-    assert best is not None
     raise QuadratureError(
         f"quadrature did not converge to {spec.tol:g} "
         f"(last error estimate {best.error:g})", best)
@@ -320,34 +323,28 @@ def default_truncation(n_bath: float, n_init: float) -> int:
     return max(20, math.ceil(8.0 * (n_bath + n_init + 1.0)))
 
 
-def _lindblad_rhs(rho, gamma, N, M, a, ad, ad_a, a_ad, aa, adad):
+def _dissipator(o1, o2):
+    # superoperator of rho -> 2 o1 rho o2 - o2 o1 rho - rho o2 o1 on the
+    # row-major vec(rho), using vec(A rho B) = (A kron B^T) vec(rho)
+    eye = sparse.identity(o1.shape[0], format="csr")
+    o21 = o2 @ o1
+    return (2.0 * sparse.kron(o1, o2.T) - sparse.kron(o21, eye)
+            - sparse.kron(eye, o21.T))
+
+
+def _lindbladian(dim, gamma, N, M):
     # (gamma/2) [ N L[a†] + (N+1) L[a] - M* D[a] - M D[a†] ] rho
     # L[o]rho = 2 o rho o† - o†o rho - rho o†o
     # D[o]rho = 2 o rho o  - o o  rho - rho o o
     # The conjugate-pair signs on the D terms are forced jointly by
     # Hermiticity preservation and by the fixed point <aa> -> M of the
     # equivalent characteristic-function diffusion equation.
-    term = N * (2.0 * (ad @ rho @ a) - a_ad @ rho - rho @ a_ad)
-    term += (N + 1.0) * (2.0 * (a @ rho @ ad) - ad_a @ rho - rho @ ad_a)
-    if M != 0:
-        term -= np.conj(M) * (2.0 * (a @ rho @ a) - aa @ rho - rho @ aa)
-        term -= M * (2.0 * (ad @ rho @ ad) - adad @ rho - rho @ adad)
-    return (0.5 * gamma) * term
-
-
-def _evolve_matrix(rho, gamma, N, M, t, steps):
-    dim = rho.shape[0]
-    a = fock_destroy(dim)
+    a = sparse.csr_matrix(fock_destroy(dim))
     ad = a.conj().T
-    ops = (a, ad, ad @ a, a @ ad, a @ a, ad @ ad)
-    h = t / steps
-    for _ in range(steps):
-        k1 = _lindblad_rhs(rho, gamma, N, M, *ops)
-        k2 = _lindblad_rhs(rho + 0.5 * h * k1, gamma, N, M, *ops)
-        k3 = _lindblad_rhs(rho + 0.5 * h * k2, gamma, N, M, *ops)
-        k4 = _lindblad_rhs(rho + h * k3, gamma, N, M, *ops)
-        rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return rho
+    gen = N * _dissipator(ad, a) + (N + 1.0) * _dissipator(a, ad)
+    if M != 0:
+        gen = gen - np.conj(M) * _dissipator(a, a) - M * _dissipator(ad, ad)
+    return ((0.5 * gamma) * gen).tocsr()
 
 
 def _check_truncation(rho):
@@ -374,48 +371,44 @@ def _nm_of_bath(bath):
     return bath.gamma, N, M
 
 
-def _n_steps(gamma, t, M):
-    # step bound gamma*dt <= 1e-3 / (1 + |M|)
-    return max(1, math.ceil(gamma * t * (1.0 + abs(M)) / 1e-3))
-
-
-def lindblad_evolve(rho0: TruncatedDensityMatrix, bath, t: float) -> TruncatedDensityMatrix:
-    """Integrate the dissipative master equation with fixed-step RK4.
-
-    ``bath`` may carry either (gamma, mu_inf, r_inf, phi_inf) or (N, M)
-    parameters.  Trace preservation and Fock-tail containment are checked
-    on the result.
-    """
-    if t < 0:
-        raise ValueError("time must be nonnegative")
+def _trajectory(rho0: TruncatedDensityMatrix, bath, times):
+    """Fock-basis states at ascending ``times``: vec(rho) is stepped by
+    ``expm_multiply`` with the sparse Lindbladian, each state is checked."""
+    if any(t < 0 for t in times) or any(b < a for a, b in zip(times, times[1:])):
+        raise ValueError("times must be ascending and nonnegative")
     gamma, N, M = _nm_of_bath(bath)
     if abs(M) ** 2 > N * (N + 1.0) + 1e-12:
         raise ValueError("unphysical bath: |M|^2 > N(N+1)")
-    if t == 0:
-        return rho0
-    rho = _evolve_matrix(rho0.matrix.copy(), gamma, N, M, t, _n_steps(gamma, t, M))
-    _check_truncation(rho)
+    dim = rho0.dim
+    gen = _lindbladian(dim, gamma, N, M)
+    vec = rho0.matrix.ravel()
+    prev = 0.0
+    for t in times:
+        if t > prev:
+            vec = expm_multiply((t - prev) * gen, vec)
+        prev = t
+        rho = vec.reshape(dim, dim)
+        _check_truncation(rho)
+        yield rho
+
+
+def lindblad_evolve(rho0: TruncatedDensityMatrix, bath, t: float) -> TruncatedDensityMatrix:
+    """Integrate the dissipative master equation up to time ``t``.
+
+    The generator is the sparse d²×d² Lindbladian on the truncated Fock
+    basis, applied by ``scipy.sparse.linalg.expm_multiply``.  ``bath`` may
+    carry either (gamma, mu_inf, r_inf, phi_inf) or (N, M) parameters.
+    Trace preservation and Fock-tail containment are checked on the result.
+    """
+    *_, rho = _trajectory(rho0, bath, [t])
     return TruncatedDensityMatrix(0.5 * (rho + rho.conj().T))
 
 
 def lindblad_purities(rho0: TruncatedDensityMatrix, bath,
                       times: Sequence[float]) -> np.ndarray:
     """Tr rho^2 sampled along a single trajectory (times must be ascending)."""
-    times = list(times)
-    if any(t < 0 for t in times) or any(b < a for a, b in zip(times, times[1:])):
-        raise ValueError("times must be ascending and nonnegative")
-    gamma, N, M = _nm_of_bath(bath)
-    rho = rho0.matrix.copy()
-    out = []
-    prev = 0.0
-    for t in times:
-        dt = t - prev
-        if dt > 0:
-            rho = _evolve_matrix(rho, gamma, N, M, dt, _n_steps(gamma, dt, M))
-        prev = t
-        _check_truncation(rho)
-        out.append(float(np.real(np.sum(rho * rho.T))))
-    return np.array(out)
+    return np.array([float(np.real(np.sum(rho * rho.T)))
+                     for rho in _trajectory(rho0, bath, list(times))])
 
 
 # ---------------------------------------------------------------------------

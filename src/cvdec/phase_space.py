@@ -148,8 +148,8 @@ def cm_from_params(p: SingleModeParams) -> np.ndarray:
 def params_from_cm(cm) -> SingleModeParams:
     m = require_physical(_as_cm(cm, 2))
     mu = 1.0 / (2.0 * math.sqrt(np.linalg.det(m)))
-    cosh2r = max((m[0, 0] + m[1, 1]) * mu, 1.0)  # clamp rounding below 1
-    r = 0.5 * math.acosh(cosh2r)
+    # sinh 2r from the anisotropy: acosh of the trace cancels near r = 0
+    r = 0.5 * math.asinh(mu * math.hypot(m[1, 1] - m[0, 0], 2.0 * m[0, 1]))
     if math.sinh(2.0 * r) < 1e-12:
         phi = 0.0
     else:

@@ -54,6 +54,15 @@ class TestCatStates:
         fringe = float(abs(w.eval(np.array([[0.0, 0.0]]))[0]))
         assert fringe < 0.25 * peak
 
+    def test_complex_purity_raises(self, monkeypatch):
+        sigma_t, centers, weights, e = ng._cat_pieces(
+            ng.CatState(x0=(1.0, 0.5)), THERMAL, 0.1)
+        weights = weights * np.array([1.0, 1.0, 1.0, 1.0 + 1e-3j])
+        monkeypatch.setattr(ng, "_cat_pieces",
+                            lambda *args: (sigma_t, centers, weights, e))
+        with pytest.raises(ArithmeticError):
+            ng.cat_purity_t(ng.CatState(x0=(1.0, 0.5)), THERMAL, 0.1)
+
     def test_tdec_estimate(self):
         cat = ng.CatState(x0=(4.0, 4.0))
         assert ng.cat_tdec_estimate(cat, gamma=1.0) == pytest.approx(1.0 / 32.0)

@@ -6,7 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
+from cvdec import nongaussian as ng
 from cvdec import numerics as nm
+from cvdec.channels import BathParams, nm_from_bath
+
+SQUEEZED = BathParams(gamma=1.0, mu_inf=0.5, r_inf=0.4, phi_inf=0.3)
+
+
+def _dim(bath, n):
+    b = nm_from_bath(bath)
+    return max(nm.default_truncation(b.N + abs(b.M), n), 2 * n + 24)
 
 
 class TestSpecialFunctions:
@@ -87,6 +96,11 @@ class TestQuadrature:
         assert err.value.result.value == pytest.approx(1.09, abs=1e-3)
         assert not err.value.result.converged
 
+    def test_single_level_rejected(self):
+        # the error estimate needs two refinement levels
+        with pytest.raises(ValueError):
+            nm.QuadratureSpec(extents=((-1.0, 1.0),), max_refinements=0)
+
 
 class TestLindblad:
     def test_trace_preserved(self):
@@ -115,6 +129,30 @@ class TestLindblad:
         bath = _Bath(gamma=1.0, mu_inf=0.2, r_inf=0.0, phi_inf=0.0)
         with pytest.raises(nm.TruncationError):
             nm.lindblad_evolve(nm.fock_state(0, 6), bath, 30.0)
+
+    def test_tail_failure_reported_along_trajectory(self):
+        with pytest.raises(nm.TruncationError):
+            nm.lindblad_purities(nm.fock_state(2, 8), SQUEEZED, [0.5, 5.0])
+
+    @pytest.mark.parametrize("t", [0.3, 1.2])
+    def test_squeezed_fock_purity_matches_closed_form(self, t):
+        rho = nm.lindblad_evolve(nm.fock_state(2, _dim(SQUEEZED, 2)), SQUEEZED, t)
+        assert rho.purity() == pytest.approx(ng.fock_purity_t(2, SQUEEZED, t),
+                                             abs=1e-9)
+
+    @pytest.mark.parametrize("vartheta", [0.0, 1.1])
+    def test_squeezed_psi01_purity_matches_closed_form(self, vartheta):
+        rho0 = nm.psi01_state(vartheta, _dim(SQUEEZED, 1))
+        rho = nm.lindblad_evolve(rho0, SQUEEZED, 0.8)
+        assert rho.purity() == pytest.approx(
+            ng.psi01_purity_t(vartheta, SQUEEZED, 0.8), abs=1e-9)
+
+    def test_evolve_matches_trajectory_endpoint(self):
+        rho0 = nm.psi01_state(0.6, _dim(SQUEEZED, 1))
+        t = 0.9
+        end = nm.lindblad_evolve(rho0, SQUEEZED, t)
+        purities = nm.lindblad_purities(rho0, SQUEEZED, [t / 2, t])
+        assert end.purity() == pytest.approx(purities[-1], abs=1e-12)
 
 
 class TestRoots:

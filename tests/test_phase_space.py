@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cvdec import phase_space as ps
@@ -74,6 +74,7 @@ class TestParametrization:
            r=st.floats(min_value=0.0, max_value=2.5),
            phi=st.floats(min_value=-1.5, max_value=math.pi / 2))
     @settings(max_examples=80, deadline=None)
+    @example(mu=0.25, r=2.0 ** -24, phi=0.25)  # acosh of the trace lost r here
     def test_round_trip(self, mu, r, phi):
         p = ps.SingleModeParams(mu=mu, r=r, phi=phi)
         q = ps.params_from_cm(cm_from := ps.cm_from_params(p))
