@@ -11,12 +11,14 @@ on a truncated Fock-basis density matrix.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import sparse
+from scipy import sparse, special
 from scipy.sparse.linalg import expm_multiply
 
 __all__ = [
@@ -26,8 +28,6 @@ __all__ = [
     "TruncationError",
     "TruncatedDensityMatrix",
     "laguerre",
-    "legendre",
-    "bessel_i0",
     "bessel_i0_log",
     "integrate_phase_space",
     "fock_destroy",
@@ -61,77 +61,11 @@ def laguerre(n: int, x):
     return p
 
 
-def legendre(n: int, x):
-    """Legendre polynomial P_n(x) by the three-term recurrence."""
-    if n < 0 or n != int(n):
-        raise ValueError("order must be a nonnegative integer")
-    x = np.asarray(x, dtype=float)
-    p_prev = np.ones_like(x)
-    if n == 0:
-        return p_prev
-    p = x.copy()
-    for m in range(1, n):
-        p, p_prev = ((2 * m + 1) * x * p - m * p_prev) / (m + 1), p
-    return p
-
-
-def _i0_series(x):
-    # sum_k (x/2)^{2k} / (k!)^2, all terms positive -> no cancellation
-    x = np.asarray(x, dtype=float)
-    q = 0.25 * x * x
-    term = np.ones_like(x)
-    total = np.ones_like(x)
-    for k in range(1, 200):
-        term = term * q / (k * k)
-        total = total + term
-        if np.all(term <= 1e-17 * total):
-            break
-    return total
-
-
-def _i0_asymptotic_log(x):
-    # ln I0(x) ~ x - ln(2 pi x)/2 + ln(sum_k u_k), u_k = u_{k-1} (2k-1)^2/(8 k x)
-    x = np.asarray(x, dtype=float)
-    u = np.ones_like(x)
-    total = np.ones_like(x)
-    for k in range(1, 30):
-        u = u * (2 * k - 1) ** 2 / (8.0 * k * x)
-        total = total + u
-        if np.all(np.abs(u) <= 1e-17 * total):
-            break
-    return x - 0.5 * np.log(2.0 * np.pi * x) + np.log(total)
-
-
-_I0_SWITCH = 30.0
-
-
-def bessel_i0(x):
-    """Modified Bessel function I_0(x): power series for small arguments,
-    the large-argument asymptotic expansion beyond."""
-    x = np.abs(np.asarray(x, dtype=float))
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    out = np.empty_like(x)
-    small = x < _I0_SWITCH
-    if np.any(small):
-        out[small] = _i0_series(x[small])
-    if np.any(~small):
-        out[~small] = np.exp(_i0_asymptotic_log(x[~small]))
-    return out[0] if scalar else out
-
-
 def bessel_i0_log(x):
-    """ln I_0(x), stable for arguments far beyond the overflow point of I_0."""
+    """ln I_0(x) = ln(e^{-|x|} I_0(x)) + |x|, stable far beyond the overflow
+    point of I_0."""
     x = np.abs(np.asarray(x, dtype=float))
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    out = np.empty_like(x)
-    small = x < _I0_SWITCH
-    if np.any(small):
-        out[small] = np.log(_i0_series(x[small]))
-    if np.any(~small):
-        out[~small] = _i0_asymptotic_log(x[~small])
-    return out[0] if scalar else out
+    return np.log(special.i0e(x)) + x
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +94,7 @@ class QuadratureSpec:
     def __post_init__(self):
         if self.tol <= 0:
             raise ValueError("tolerance must be positive")
-        if self.max_refinements < 1:  # the error estimate needs two levels
+        if self.max_refinements < 1:  # order escalation compares two orders
             raise ValueError("max_refinements must be at least 1")
         for lo, hi in self.extents:
             if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
@@ -175,67 +109,132 @@ class QuadratureResult:
     evaluations: int
 
 
-def _gl_axis(lo: float, hi: float, order: int, panels: int):
-    """Nodes/weights of composite Gauss-Legendre on [lo, hi]."""
+# Gauss-Kronrod G7/K15 on [-1, 1] (QUADPACK qk15, Piessens et al. 1983) at
+# the nonnegative nodes, ascending.  The seven Gauss nodes are every other
+# Kronrod node; the Gauss weight is zero at the others.
+_GK15_POS = np.array([
+    0.0, 0.207784955007898467600689403773245,
+    0.405845151377397166906606412076961, 0.586087235467691130294144845693013,
+    0.741531185599394439863864773280788, 0.864864423359769072789712788640926,
+    0.949107912342758524526189684047851, 0.991455371120812639206854697526329])
+_K15_POS = np.array([
+    0.209482141084727828012999174891714, 0.204432940075298892414161999234649,
+    0.190350578064785409913256402421014, 0.169004726639267902826583426598550,
+    0.140653259715525918745189590510238, 0.104790010322250183839876322541518,
+    0.063092092629978553290700663189204, 0.022935322010529224963732008058970])
+_G7_POS = np.array([
+    0.417959183673469387755102040816327, 0.0,
+    0.381830050505118944950369775488975, 0.0,
+    0.279705391489276667901467771423780, 0.0,
+    0.129484966168869693270611432679082, 0.0])
+_GK15_X = np.concatenate([-_GK15_POS[:0:-1], _GK15_POS])
+_GK15_WK = np.concatenate([_K15_POS[:0:-1], _K15_POS])
+_GK15_WG = np.concatenate([_G7_POS[:0:-1], _G7_POS])
+
+_BATCH = 2 ** 18  # most points passed to the integrand in one call
+
+
+def _gk_panels(f, spec: QuadratureSpec) -> QuadratureResult:
+    d = len(spec.extents)
+    lo, hi = np.array(spec.extents, dtype=float).T
+    nodes = np.stack(np.meshgrid(*[_GK15_X] * d, indexing="ij"),
+                     axis=-1).reshape(-1, d)
+    w_k = functools.reduce(np.multiply.outer, [_GK15_WK] * d).ravel()
+    w_diff = w_k - functools.reduce(np.multiply.outer, [_GK15_WG] * d).ravel()
+    signs = np.array(list(itertools.product((-1.0, 1.0), repeat=d)))
+    per_call = max(1, _BATCH // len(nodes))
+    half = 0.5 * (hi - lo)
+    centers = (0.5 * (lo + hi))[None, :]
+    retired_value = retired_error = 0.0
+    evals = 0
+    for _ in range(spec.max_refinements + 1):
+        value = np.empty(len(centers))
+        error = np.empty(len(centers))
+        for s in range(0, len(centers), per_call):
+            c = centers[s:s + per_call]
+            vals = np.asarray(f((c[:, None, :] + half * nodes).reshape(-1, d)),
+                              dtype=float).reshape(len(c), -1)
+            value[s:s + per_call] = vals @ w_k
+            error[s:s + per_call] = np.abs(vals @ w_diff)
+        evals += len(centers) * len(nodes)
+        jac = float(np.prod(half))
+        value *= jac
+        error *= jac
+        total_error = retired_error + float(error.sum())
+        result = QuadratureResult(retired_value + float(value.sum()), total_error,
+                                  total_error <= spec.tol, evals)
+        if result.converged:
+            return result
+        split = error > (spec.tol - retired_error) / len(centers)
+        retired_value += float(value[~split].sum())
+        retired_error += float(error[~split].sum())
+        half = 0.5 * half
+        centers = (centers[split][:, None, :] + half * signs).reshape(-1, d)
+    raise QuadratureError(
+        f"quadrature did not converge to {spec.tol:g} in "
+        f"{spec.max_refinements} bisection rounds "
+        f"(error estimate {result.error:g})", result)
+
+
+def _tensor_quad(f, extents, order, chunk=2 ** 20):
+    """One tensor Gauss-Legendre panel over the box, evaluated in slabs of
+    the first axis so that high orders do not hold every point at once."""
     x, w = np.polynomial.legendre.leggauss(order)
-    edges = np.linspace(lo, hi, panels + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    weights = (half[:, None] * w[None, :]).ravel()
-    return nodes, weights
-
-
-def _tensor_quad(f, extents, order, panels, chunk=2 ** 20):
-    axes = [_gl_axis(lo, hi, order, panels) for lo, hi in extents]
-    sizes = [a[0].size for a in axes]
-    n_points = int(np.prod(sizes))
+    d = len(extents)
+    lo, hi = np.array(extents, dtype=float).T
+    half = 0.5 * (hi - lo)
+    nodes = (0.5 * (lo + hi))[:, None] + half[:, None] * x
+    weights = functools.reduce(np.multiply.outer, [h * w for h in half])
+    rows = max(1, chunk // order ** (d - 1))
     total = 0.0
-    # materialize the tensor grid chunk by chunk so deep 2-D refinements do
-    # not hold the full point set in memory at once
-    for start in range(0, n_points, chunk):
-        flat = np.arange(start, min(start + chunk, n_points))
-        idx = np.unravel_index(flat, sizes)
-        pts = np.stack([axes[d][0][idx[d]] for d in range(len(axes))], axis=-1)
-        wts = axes[0][1][idx[0]].copy()
-        for d in range(1, len(axes)):
-            wts *= axes[d][1][idx[d]]
+    for start in range(0, order, rows):
+        axes = [nodes[0, start:start + rows], *nodes[1:]]
+        pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
         vals = np.asarray(f(pts), dtype=float)
-        total += float(np.dot(wts, vals))
-    return total, n_points
+        total += float(np.dot(weights[start:start + rows].ravel(), vals))
+    return total, order ** d
 
 
 def integrate_phase_space(f: Callable[[np.ndarray], np.ndarray],
                           spec: QuadratureSpec) -> QuadratureResult:
-    """Adaptive tensor-product Gauss-Legendre quadrature over a box.
+    """Adaptive quadrature of ``f`` over a box.
 
     ``f`` must accept an (N, d) array of points and return N values.
-    The error estimate is the difference between successive refinements
-    (panel doubling for d <= 2, order escalation for d > 2); the returned
-    value is the finest evaluation.  Raises :class:`QuadratureError` if the
-    refinement budget is exhausted before the tolerance is met.
+
+    For d <= 2 the rule is a globally adaptive tensor Gauss-Kronrod G7/K15
+    on panels.  Each round evaluates every active panel, at most 2^18
+    points per call of ``f``; a panel's value is its K15 sum and its error
+    is |K15 - G7|.  A panel whose error exceeds its equal share of the
+    tolerance not yet spent on retired panels is bisected along every axis;
+    the others are retired with their value and error.  The result is the
+    summed value and error of retired and active panels, and it is
+    converged once that error is at most ``spec.tol``.
+    ``spec.max_refinements`` caps the number of bisection rounds.
+
+    For d > 2 a single tensor Gauss-Legendre panel is raised through the
+    orders 8, 12, ..., 48, at most ``spec.max_refinements`` times, and the
+    error is the difference between successive orders.
+
+    ``evaluations`` counts every point passed to ``f``.  Raises
+    :class:`QuadratureError`, carrying the last unconverged result, if the
+    cap is reached before the tolerance is met.
     """
-    d = len(spec.extents)
+    if len(spec.extents) <= 2:
+        return _gk_panels(f, spec)
     evals = 0
     prev = None
-    best = None
-    if d <= 2:
-        levels = [(16, 2 ** j) for j in range(spec.max_refinements + 1)]
-    else:
-        orders = [8, 12, 16, 24, 32, 40, 48]
-        levels = [(o, 1) for o in orders[: spec.max_refinements + 1]]
-    for order, panels in levels:
-        value, n = _tensor_quad(f, spec.extents, order, panels)
+    for order in [8, 12, 16, 24, 32, 40, 48][: spec.max_refinements + 1]:
+        value, n = _tensor_quad(f, spec.extents, order)
         evals += n
         if prev is not None:
             err = abs(value - prev)
-            best = QuadratureResult(value, err, err <= spec.tol, evals)
-            if err <= spec.tol:
-                return best
+            result = QuadratureResult(value, err, err <= spec.tol, evals)
+            if result.converged:
+                return result
         prev = value
     raise QuadratureError(
         f"quadrature did not converge to {spec.tol:g} "
-        f"(last error estimate {best.error:g})", best)
+        f"(last error estimate {result.error:g})", result)
 
 
 # ---------------------------------------------------------------------------

@@ -163,6 +163,21 @@ class TestEndToEnd:
         header, rows = _read_csv(out)
         assert max(r[header.index("purity_absdiff")] for r in rows) < 1e-6
 
+    def test_fock_xi_oracle_at_t0(self, tmp_path):
+        # the box-quadrature oracle of xi must converge on the kinked |W|
+        cfg = _write(tmp_path, "fock.json", {
+            "kind": "fock",
+            "initial": {"n": 2},
+            "baths": [{"gamma": 1.0, "mu_inf": 0.5}],
+            "grid": {"start": 0.0, "stop": 0.0, "points": 1},
+            "quantities": ["xi"],
+        })
+        out = tmp_path / "out.csv"
+        assert cli.main(["run", cfg, "--out", str(out), "--oracle",
+                         "--tolerance", "1e-6"]) == 0
+        header, rows = _read_csv(out)
+        assert rows[0][header.index("xi_absdiff")] <= 1e-6
+
     def test_fock_xi_requires_thermal_bath(self, tmp_path):
         cfg = _write(tmp_path, "fock.json", {
             "kind": "fock",

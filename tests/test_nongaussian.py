@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate, special
 
 from cvdec import nongaussian as ng
 from cvdec import numerics as nm
@@ -198,6 +199,26 @@ class TestNegativePart:
         boxed = ng.WignerField(eval=w.eval, domain=w.domain, radial=None)
         assert ng.negative_part(boxed).xi == pytest.approx(
             ng.negative_part(w).xi, abs=1e-6)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_box_xi_at_t0_matches_laguerre(self, n):
+        # W_n(x) = (-1)^n L_n(2|x|^2) e^{-|x|^2} / pi at t = 0, so with
+        # u = |x|^2 the box integral of |W| is int_0^inf |L_n(2u)| e^{-u} du
+        nodes = [0.0, *(0.5 * special.roots_laguerre(n)[0]), math.inf]
+        expected = sum(
+            integrate.quad(lambda u: abs(special.eval_laguerre(n, 2.0 * u))
+                           * math.exp(-u), a, b, epsabs=1e-14, epsrel=1e-13)[0]
+            for a, b in zip(nodes, nodes[1:])) - 1.0
+        w = ng.fock_wigner_t(n, 0.5, 0.0)
+        boxed = ng.WignerField(eval=w.eval, domain=w.domain)
+        assert ng.negative_part(boxed, tol=1e-8).xi == pytest.approx(
+            expected, abs=1e-8)
+
+    def test_box_negative_part_raises_under_round_cap(self):
+        w = ng.fock_wigner_t(2, 0.5, 0.0)
+        with pytest.raises(nm.QuadratureError) as err:
+            ng._box_negative_part(w, 1e-8, max_refinements=6)
+        assert not err.value.result.converged
 
     def test_domain_expansion_recovers_small_box(self):
         w = ng.fock_wigner_t(1, 0.5, 0.2)

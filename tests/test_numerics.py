@@ -25,20 +25,19 @@ class TestSpecialFunctions:
         assert np.allclose(nm.laguerre(n, x), special.eval_laguerre(n, x),
                            rtol=1e-12, atol=1e-12)
 
-    @pytest.mark.parametrize("n", range(8))
-    def test_legendre_matches_reference(self, n):
-        x = np.linspace(-1.0, 1.0, 101)
-        assert np.allclose(nm.legendre(n, x), special.eval_legendre(n, x),
-                           rtol=1e-12, atol=1e-12)
-
     def test_laguerre_point_value(self):
         # L2(x) = 1 - 2x + x^2/2, so L2(2) = -1
         assert nm.laguerre(2, 2.0) == pytest.approx(-1.0, abs=1e-14)
 
-    def test_bessel_i0_values(self):
-        assert nm.bessel_i0(0.0) == pytest.approx(1.0, abs=1e-15)
-        assert nm.bessel_i0(1.0) == pytest.approx(1.2660658777520084,
-                                                  rel=1e-12)
+    def test_bessel_i0_log_values(self):
+        assert nm.bessel_i0_log(0.0) == pytest.approx(0.0, abs=1e-15)
+        assert nm.bessel_i0_log(-1.0) == pytest.approx(
+            math.log(1.2660658777520084), rel=1e-12)
+        # I0(x) ~ e^x / sqrt(2 pi x) (1 + 1/(8x)) far past the overflow of I0
+        x = 1e5
+        assert nm.bessel_i0_log(x) == pytest.approx(
+            x - 0.5 * math.log(2.0 * math.pi * x) + math.log1p(1.0 / (8.0 * x)),
+            rel=1e-14)
 
     @given(st.floats(min_value=0.0, max_value=600.0))
     @settings(max_examples=60, deadline=None)
@@ -96,8 +95,59 @@ class TestQuadrature:
         assert err.value.result.value == pytest.approx(1.09, abs=1e-3)
         assert not err.value.result.converged
 
+    def test_kronrod_table_exact(self):
+        # K15 integrates polynomials of degree <= 22 exactly, G7 up to 13
+        x = nm._GK15_X
+        for k in range(24):
+            exact = 0.0 if k % 2 else 2.0 / (k + 1)
+            assert nm._GK15_WK @ x ** k == pytest.approx(exact, abs=1e-15)
+            if k <= 13:
+                assert nm._GK15_WG @ x ** k == pytest.approx(exact, abs=1e-15)
+        assert abs(nm._GK15_WG @ x ** 14 - 2.0 / 15) > 1e-5
+
+    def test_kink_refined_locally(self):
+        # uniform bisection down to the smallest panel needed here would cost
+        # 15 * 2^17 points; the adaptive panels crowd onto the kink instead
+        spec = nm.QuadratureSpec(extents=((-1.0, 1.0),), tol=1e-12,
+                                 max_refinements=40)
+        res = nm.integrate_phase_space(lambda p: np.abs(p[:, 0] - 0.3), spec)
+        assert res.converged
+        assert res.value == pytest.approx(1.09, abs=1e-12)
+        assert res.evaluations <= 1000
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_evaluations_count_every_point(self, d):
+        seen = []
+
+        def gauss(p):
+            seen.append(p.shape[0])
+            return np.exp(-np.sum(p * p, axis=-1))
+
+        spec = nm.QuadratureSpec(extents=tuple([(-6.0, 6.0)] * d), tol=1e-9)
+        res = nm.integrate_phase_space(gauss, spec)
+        assert res.converged
+        assert res.value == pytest.approx(math.pi ** (d / 2), abs=1e-8)
+        assert res.evaluations == sum(seen)
+
+    def test_evaluations_counted_when_unconverged(self):
+        seen = []
+
+        def kinked(p):
+            seen.append(p.shape[0])
+            return np.abs(np.sum(p * p, axis=-1) - 0.5)
+
+        spec = nm.QuadratureSpec(extents=((-1.0, 1.0), (-1.0, 1.0)),
+                                 tol=1e-12, max_refinements=8)
+        with pytest.raises(nm.QuadratureError) as err:
+            nm.integrate_phase_space(kinked, spec)
+        assert not err.value.result.converged
+        assert err.value.result.evaluations == sum(seen)
+        # the last rounds are split into calls of at most 2^18 points
+        assert len(seen) > spec.max_refinements + 1
+        assert max(seen) <= 2 ** 18
+
     def test_single_level_rejected(self):
-        # the error estimate needs two refinement levels
+        # order escalation (d > 2) compares two orders
         with pytest.raises(ValueError):
             nm.QuadratureSpec(extents=((-1.0, 1.0),), max_refinements=0)
 
