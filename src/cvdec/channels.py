@@ -147,28 +147,45 @@ def bath_from_nm(nm: NMParams, gamma: float) -> BathParams:
     return BathParams(gamma=gamma, mu_inf=min(mu, 1.0), r_inf=r, phi_inf=phi)
 
 
-def gamma_matrix(ch: ChannelSpec, t: float) -> np.ndarray:
-    """Damping matrix Γ(t) = ⊕ exp(-γ_i t / 2) I₂."""
-    if t < 0:
-        raise ValueError("time must be nonnegative")
-    diag = np.repeat([math.exp(-0.5 * b.gamma * t) for b in ch.baths], 2)
-    return np.diag(diag)
+# math.exp elementwise.  np.exp rounds differently in the last bit for a
+# few percent of arguments; math.exp keeps the evolved covariance matrices,
+# and so the CSV bytes, as cvdec has written them.
+_exp = np.vectorize(math.exp, otypes=[float])
 
 
-def sigma_inf_t(ch: ChannelSpec, t: float) -> np.ndarray:
-    """Additive noise σ∞(t) = ⊕ σ_i∞ (1 - exp(-γ_i t))."""
-    if t < 0:
+def _times(t) -> np.ndarray:
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0):
         raise ValueError("time must be nonnegative")
-    n = ch.n_modes
-    out = np.zeros((2 * n, 2 * n))
-    for i, b in enumerate(ch.baths):
-        out[2 * i: 2 * i + 2, 2 * i: 2 * i + 2] = \
-            env_cm(b) * (1.0 - math.exp(-b.gamma * t))
+    return t
+
+
+def gamma_matrix(ch: ChannelSpec, t) -> np.ndarray:
+    """Damping matrix Γ(t) = ⊕ exp(-γ_i t / 2) I₂; a (..., 2n, 2n) stack
+    for an array of times."""
+    t = _times(t)
+    rates = np.repeat([-0.5 * b.gamma for b in ch.baths], 2)
+    out = np.zeros(t.shape + (rates.size, rates.size))
+    idx = np.arange(rates.size)
+    out[..., idx, idx] = _exp(np.multiply.outer(t, rates))
     return out
 
 
-def evolve_moments(state: GaussianState, ch: ChannelSpec, t: float) -> GaussianState:
-    """Exact action of the channel on first and second moments."""
+def sigma_inf_t(ch: ChannelSpec, t) -> np.ndarray:
+    """Additive noise σ∞(t) = ⊕ σ_i∞ (1 - exp(-γ_i t)); a (..., 2n, 2n)
+    stack for an array of times."""
+    t = _times(t)
+    n = ch.n_modes
+    out = np.zeros(t.shape + (2 * n, 2 * n))
+    for i, b in enumerate(ch.baths):
+        out[..., 2 * i: 2 * i + 2, 2 * i: 2 * i + 2] = \
+            env_cm(b) * (1.0 - _exp(-b.gamma * t))[..., None, None]
+    return out
+
+
+def evolve_moments(state: GaussianState, ch: ChannelSpec, t) -> GaussianState:
+    """Exact action of the channel on first and second moments; an array
+    of times gives the stack of evolved states."""
     if state.n_modes != ch.n_modes:
         raise ValueError("state and channel mode counts differ")
     g = gamma_matrix(ch, t)
@@ -194,9 +211,7 @@ def gaussian_map_check(xm, ym, tol: float = 1e-12) -> bool:
 
 def single_mode_purity_t(init: SingleModeParams, bath: BathParams, t):
     """Evolved purity μ(t) in closed form (vectorized over t)."""
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ValueError("time must be nonnegative")
+    t = _times(t)
     k = np.exp(-bath.gamma * t)
     mu0, mui = init.mu, bath.mu_inf
     cross = (math.cosh(2.0 * bath.r_inf) * math.cosh(2.0 * init.r)

@@ -2,8 +2,10 @@
 
 A scenario names an initial state, one bath per mode, a time grid and the
 quantities to tabulate; ``--oracle`` adds independently computed reference
-columns and absolute deviations.  Output is deterministic: the same config
-always yields byte-identical CSV.
+columns and absolute deviations.  Each (kind, quantity) is one row of
+``_TABLE``: a closed form and an oracle, each computed over the whole time
+grid, and the label of the oracle's path.  Output is deterministic: the same
+config always yields byte-identical CSV.
 
 Exit codes: 0 success, 1 configuration error, 2 numerical/oracle failure.
 """
@@ -13,12 +15,12 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -31,19 +33,6 @@ from . import two_mode as tm
 
 __all__ = ["Scenario", "ResultTable", "load_scenario", "run_scenario",
            "emit", "main"]
-
-_KINDS = ("single-gaussian", "cat", "fock", "psi01", "two-mode", "fidelity")
-_QUANTITIES = ("purity", "entropy", "tau", "xi", "logneg", "mutual-info",
-               "fidelity")
-_ALLOWED = {
-    "single-gaussian": {"purity", "entropy", "tau", "xi"},
-    "cat": {"purity", "xi"},
-    "fock": {"purity", "xi"},
-    "psi01": {"purity"},
-    "two-mode": {"purity", "entropy", "tau", "logneg", "mutual-info",
-                 "fidelity"},
-    "fidelity": {"fidelity", "logneg"},
-}
 
 
 class ConfigError(ValueError):
@@ -68,6 +57,7 @@ class Scenario:
 class ResultTable:
     columns: list[str]
     rows: list[list[float]] = field(default_factory=list)
+    paths: dict[str, str] = field(default_factory=dict)  # quantity -> path
 
     def max_deviation(self) -> float | None:
         diff_idx = [i for i, c in enumerate(self.columns)
@@ -95,7 +85,8 @@ def load_scenario(path: str) -> Scenario:
 def parse_scenario(raw: dict) -> Scenario:
     _require(isinstance(raw, dict), "scenario must be a JSON object")
     kind = raw.get("kind")
-    _require(kind in _KINDS, f"kind must be one of {_KINDS}")
+    _require(isinstance(kind, str) and kind in _INITIAL,
+             f"kind must be one of {tuple(_INITIAL)}")
     initial = raw.get("initial")
     _require(isinstance(initial, dict), "initial parameters are required")
 
@@ -136,11 +127,15 @@ def parse_scenario(raw: dict) -> Scenario:
         raise ConfigError("grid spacing must be 'linear' or 'log'")
 
     quantities = raw.get("quantities")
+    known = tuple(dict.fromkeys(q for _, q in _TABLE))
     _require(isinstance(quantities, list) and
-             all(q in _QUANTITIES for q in quantities),
-             f"quantities must be a list drawn from {_QUANTITIES}")
-    bad = [q for q in quantities if q not in _ALLOWED[kind]]
+             all(q in known for q in quantities),
+             f"quantities must be a list drawn from {known}")
+    bad = [q for q in quantities if (kind, q) not in _TABLE]
     _require(not bad, f"quantities {bad} not defined for kind {kind!r}")
+    _require(not (kind == "fock" and "xi" in quantities
+                  and not baths[0].is_thermal),
+             "xi for Fock states requires a thermal bath")
     if kind == "single-gaussian" and "xi" in quantities:
         print("warning: xi of a Gaussian state is identically 0",
               file=sys.stderr)
@@ -151,250 +146,218 @@ def parse_scenario(raw: dict) -> Scenario:
 
 
 # ---------------------------------------------------------------------------
-# per-kind evaluators: map (scenario, t) -> {quantity: value}, and the same
-# for the oracle pass
+# the (kind, quantity) table: each quantity of each kind is a closed form and
+# an oracle, both computed over the whole time grid
 # ---------------------------------------------------------------------------
 
-def _initial_single(s: Scenario) -> ps.SingleModeParams:
-    try:
-        return ps.SingleModeParams(mu=float(s.initial["mu"]),
-                                   r=float(s.initial.get("r", 0.0)),
-                                   phi=float(s.initial.get("phi", 0.0)))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid single-mode parameters: {exc}") from exc
+def _two_mode_initial(p: dict) -> tm.StandardForm:
+    if "a" in p:
+        return tm.StandardForm(a=float(p["a"]), b=float(p["b"]),
+                               c1=float(p["c1"]), c2=float(p["c2"]))
+    return tm.SqueezedThermalParams(mu=float(p["mu"]),
+                                    r=float(p["r"])).standard_form
 
 
-def _initial_cat(s: Scenario) -> ng.CatState:
-    try:
-        return ng.CatState(x0=np.asarray(s.initial["x0"], dtype=float),
-                           r0=float(s.initial.get("r0", 0.0)),
-                           theta=float(s.initial.get("theta", 0.0)))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid cat parameters: {exc}") from exc
+# kind -> parser of its initial parameters
+_INITIAL = {
+    "single-gaussian": lambda p: ps.SingleModeParams(
+        mu=float(p["mu"]), r=float(p.get("r", 0.0)),
+        phi=float(p.get("phi", 0.0))),
+    "cat": lambda p: ng.CatState(
+        x0=np.asarray(p["x0"], dtype=float), r0=float(p.get("r0", 0.0)),
+        theta=float(p.get("theta", 0.0))),
+    "fock": lambda p: int(p["n"]),
+    "psi01": lambda p: float(p["vartheta"]),
+    "two-mode": _two_mode_initial,
+    "fidelity": lambda p: tm.SqueezedThermalParams(
+        mu=float(p.get("mu", 1.0)), r=float(p["r"])),
+}
 
-
-def _initial_two_mode(s: Scenario) -> tm.StandardForm:
-    try:
-        if "a" in s.initial:
-            return tm.StandardForm(a=float(s.initial["a"]),
-                                   b=float(s.initial["b"]),
-                                   c1=float(s.initial["c1"]),
-                                   c2=float(s.initial["c2"]))
-        return tm.SqueezedThermalParams(
-            mu=float(s.initial["mu"]), r=float(s.initial["r"])).standard_form
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid two-mode parameters: {exc}") from exc
-
-
-def _eval_single(s: Scenario, t: float, oracle: bool) -> dict[str, float]:
-    init = _initial_single(s)
-    bath = s.baths[0]
-    out = {}
-    if oracle:
-        cm = ch.evolve_moments(
-            ps.GaussianState(np.zeros(2), ps.cm_from_params(init)),
-            s.channel, t).cm
-        for q in s.quantities:
-            if q == "purity":
-                out[q] = ps.purity_gaussian(cm)
-            elif q == "entropy":
-                out[q] = ps.von_neumann_entropy(cm)
-            elif q == "tau":
-                out[q] = ps.nonclassical_depth_gaussian(cm)
-            elif q == "xi":
-                out[q] = 0.0
-        return out
-    for q in s.quantities:
-        if q == "purity":
-            out[q] = float(ch.single_mode_purity_t(init, bath, t))
-        elif q == "entropy":
-            evolved = ch.evolved_params(init, bath, t)
-            nu = 1.0 / (2.0 * evolved.mu)
-            out[q] = float(ps.entropy_function(nu))
-        elif q == "tau":
-            out[q] = float(ch.single_mode_tau_t(init, bath, t))
-        elif q == "xi":
-            out[q] = 0.0
-    return out
-
-
-def _eval_cat(s: Scenario, t: float, oracle: bool) -> dict[str, float]:
-    cat = _initial_cat(s)
-    bath = s.baths[0]
-    out = {}
-    for q in s.quantities:
-        if q == "purity":
-            if oracle:
-                out[q] = ng.wigner_purity(ng.cat_wigner_t(cat, bath, t),
-                                          tol=1e-9)
-            else:
-                out[q] = ng.cat_purity_t(cat, bath, t)
-        elif q == "xi":
-            out[q] = ng.negative_part(ng.cat_wigner_t(cat, bath, t),
-                                      tol=1e-8).xi
-    return out
-
-
-def _eval_fock(s: Scenario, t: float, oracle: bool) -> dict[str, float]:
-    try:
-        n = int(s.initial["n"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid Fock parameters: {exc}") from exc
-    bath = s.baths[0]
-    out = {}
-    for q in s.quantities:
-        if q == "purity":
-            if oracle:
-                nm_b = ch.nm_from_bath(bath)
-                dim = max(nm.default_truncation(nm_b.N + abs(nm_b.M), n),
-                          2 * n + 24)
-                out[q] = nm.lindblad_evolve(nm.fock_state(n, dim),
-                                            bath, t).purity()
-            else:
-                out[q] = ng.fock_purity_t(n, bath, t)
-        elif q == "xi":
-            if not bath.is_thermal:
-                raise ConfigError("xi for Fock states requires a thermal bath")
-            w = ng.fock_wigner_t(n, bath.mu_inf, t, bath.gamma)
-            if oracle:
-                # independent path: full 2-D quadrature instead of the
-                # radial reduction
-                w = ng.WignerField(eval=w.eval, domain=w.domain)
-                out[q] = ng.negative_part(w, tol=1e-8).xi
-            else:
-                out[q] = ng.negative_part(w).xi
-    return out
-
-
-def _eval_psi01(s: Scenario, t: float, oracle: bool) -> dict[str, float]:
-    try:
-        vt = float(s.initial["vartheta"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid psi01 parameters: {exc}") from exc
-    bath = s.baths[0]
-    if oracle:
-        nm_b = ch.nm_from_bath(bath)
-        dim = max(nm.default_truncation(nm_b.N + abs(nm_b.M), 1), 32)
-        return {"purity": nm.lindblad_evolve(nm.psi01_state(vt, dim),
-                                             bath, t).purity()}
-    return {"purity": ng.psi01_purity_t(vt, bath, t)}
-
-
-def _eval_two_mode(s: Scenario, t: float, oracle: bool) -> dict[str, float]:
-    sf = _initial_two_mode(s)
-    cm = ch.evolve_moments(
-        ps.GaussianState(np.zeros(4), tm.standard_form_to_cm(sf)),
-        s.channel, t).cm
-    out = {}
-    for q in s.quantities:
-        if q == "purity":
-            if oracle:
-                out[q] = ps.purity_gaussian(cm)
-            else:
-                inv = tm.evolved_invariants(sf, s.channel, t)
-                out[q] = 1.0 / (4.0 * math.sqrt(inv.det_sigma))
-        elif q == "entropy":
-            out[q] = ps.von_neumann_entropy(cm)
-        elif q == "tau":
-            out[q] = ps.nonclassical_depth_gaussian(cm)
-        elif q == "logneg":
-            if oracle:
-                # independent path: symplectic spectrum of the
-                # mirror-reflected covariance matrix
-                mirror = np.diag([1.0, 1.0, 1.0, -1.0])
-                nu = float(np.min(ps.symplectic_eigenvalues(
-                    mirror @ cm @ mirror)))
-                out[q] = max(0.0, -math.log(2.0 * nu))
-            else:
-                out[q] = tm.log_negativity(cm)
-        elif q == "mutual-info":
-            out[q] = tm.mutual_information(cm)
-        elif q == "fidelity":
-            out[q] = tm.teleportation_fidelity(cm)
-    return out
-
-
-def _eval_fidelity(s: Scenario, t: float, oracle: bool) -> dict[str, float]:
-    try:
-        params = tm.SqueezedThermalParams(mu=float(s.initial.get("mu", 1.0)),
-                                          r=float(s.initial["r"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid fidelity parameters: {exc}") from exc
-    cm = ch.evolve_moments(
-        ps.GaussianState(np.zeros(4),
-                         tm.standard_form_to_cm(params.standard_form)),
-        s.channel, t).cm
-    out = {}
-    for q in s.quantities:
-        if q == "fidelity":
-            if oracle:
-                out[q] = tm.teleportation_fidelity(cm)
-            else:
-                out[q] = float(tm.fidelity_t(params, s.channel, t))
-        elif q == "logneg":
-            out[q] = tm.log_negativity(cm)
-    return out
-
-
-_EVALUATORS = {
-    "single-gaussian": _eval_single,
-    "cat": _eval_cat,
-    "fock": _eval_fock,
-    "psi01": _eval_psi01,
-    "two-mode": _eval_two_mode,
-    "fidelity": _eval_fidelity,
+# Gaussian kind -> initial covariance matrix of its parsed initial state
+_INITIAL_CM = {
+    "single-gaussian": ps.cm_from_params,
+    "two-mode": tm.standard_form_to_cm,
+    "fidelity": lambda p: tm.standard_form_to_cm(p.standard_form),
 }
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("CVDEC_THREADS", "")
-    if raw.strip():
-        try:
-            n = int(raw)
-        except ValueError as exc:
-            raise ConfigError(f"CVDEC_THREADS must be an integer: {raw!r}") from exc
-        if n < 1:
-            raise ConfigError("CVDEC_THREADS must be at least 1")
-        return n
-    return min(4, os.cpu_count() or 1)
+@dataclass
+class _Grid:
+    """What a column is computed from: the scenario, its parsed initial
+    state, and the evolved covariance matrices, built on first use."""
+
+    s: Scenario
+    init: object
+
+    @property
+    def t(self) -> np.ndarray:
+        return self.s.times
+
+    @property
+    def bath(self) -> ch.BathParams:
+        return self.s.baths[0]
+
+    @functools.cached_property
+    def cm(self) -> np.ndarray:
+        """(T, 2n, 2n) stack of evolved covariance matrices."""
+        cm0 = _INITIAL_CM[self.s.kind](self.init)
+        state = ps.GaussianState(np.zeros(len(cm0)), cm0)
+        return ch.evolve_moments(state, self.s.channel, self.t).cm
+
+
+_Column = Callable[[_Grid], np.ndarray]
+
+
+@dataclass(frozen=True)
+class _Row:
+    """One (kind, quantity): its closed form and its oracle over the grid,
+    and the path the oracle takes ("none" when it repeats the closed form)."""
+
+    closed: _Column
+    oracle: _Column
+    path: str
+
+
+def _each(f: Callable[[_Grid, float], float]) -> _Column:
+    """A column computed point by point: quadratures, and closed forms
+    written for one t."""
+    return lambda g: np.array([f(g, float(t)) for t in g.t])
+
+
+def _single_entropy(g: _Grid) -> np.ndarray:
+    # f(1/2μ) with μ = 1/(2√Det σ) capped at 1, as params_from_cm gives it
+    mu = np.minimum(1.0 / (2.0 * np.sqrt(np.linalg.det(g.cm))), 1.0)
+    return ps.entropy_function(1.0 / (2.0 * mu))
+
+
+def _mirrored_log_negativity(g: _Grid) -> np.ndarray:
+    # symplectic spectrum of the mirror-reflected covariance matrix; the log
+    # is math.log elementwise, as in tm.log_negativity
+    mirror = np.diag([1.0, 1.0, 1.0, -1.0])
+    nu = np.min(ps.symplectic_eigenvalues(mirror @ g.cm @ mirror), axis=-1)
+    return np.maximum(0.0, -np.vectorize(math.log, otypes=[float])(2.0 * nu))
+
+
+def _two_mode_purity(g: _Grid) -> np.ndarray:
+    inv = tm.evolved_invariants(g.init, g.s.channel, g.t)
+    return 1.0 / (4.0 * np.sqrt(inv.det_sigma))
+
+
+def _fock_dim(g: _Grid, n: int, floor: int) -> int:
+    b = ch.nm_from_bath(g.bath)
+    return max(nm.default_truncation(b.N + abs(b.M), n), floor)
+
+
+def _fock_lindblad(g: _Grid) -> np.ndarray:
+    dim = _fock_dim(g, g.init, 2 * g.init + 24)
+    return nm.lindblad_purities(nm.fock_state(g.init, dim), g.bath, g.t)
+
+
+def _psi01_lindblad(g: _Grid) -> np.ndarray:
+    dim = _fock_dim(g, 1, 32)
+    return nm.lindblad_purities(nm.psi01_state(g.init, dim), g.bath, g.t)
+
+
+def _fock_xi(g: _Grid, t: float) -> float:
+    return ng.negative_part(
+        ng.fock_wigner_t(g.init, g.bath.mu_inf, t, g.bath.gamma)).xi
+
+
+def _fock_xi_box(g: _Grid, t: float) -> float:
+    # full 2-D quadrature instead of the radial reduction
+    w = ng.fock_wigner_t(g.init, g.bath.mu_inf, t, g.bath.gamma)
+    return ng.negative_part(ng.WignerField(eval=w.eval, domain=w.domain),
+                            tol=1e-8).xi
+
+
+def _cat_xi(g: _Grid, t: float) -> float:
+    return ng.negative_part(ng.cat_wigner_t(g.init, g.bath, t), tol=1e-8).xi
+
+
+def _cat_box_purity(g: _Grid, t: float) -> float:
+    return ng.wigner_purity(ng.cat_wigner_t(g.init, g.bath, t), tol=1e-9)
+
+
+def _repeated(f: _Column) -> _Row:
+    """A row whose oracle repeats its closed form: no independent check."""
+    return _Row(f, f, "none")
+
+
+_TABLE: dict[tuple[str, str], _Row] = {
+    ("single-gaussian", "purity"): _Row(
+        lambda g: ch.single_mode_purity_t(g.init, g.bath, g.t),
+        lambda g: ps.purity_gaussian(g.cm), "CM determinant"),
+    ("single-gaussian", "entropy"): _Row(
+        _single_entropy, lambda g: ps.von_neumann_entropy(g.cm),
+        "CM spectrum"),
+    ("single-gaussian", "tau"): _Row(
+        lambda g: ch.single_mode_tau_t(g.init, g.bath, g.t),
+        lambda g: ps.nonclassical_depth_gaussian(g.cm), "CM eigenvalues"),
+    ("single-gaussian", "xi"): _repeated(lambda g: np.zeros_like(g.t)),
+    ("cat", "purity"): _Row(
+        _each(lambda g, t: ng.cat_purity_t(g.init, g.bath, t)),
+        _each(_cat_box_purity), "box quadrature"),
+    ("cat", "xi"): _repeated(_each(_cat_xi)),
+    ("fock", "purity"): _Row(
+        _each(lambda g, t: ng.fock_purity_t(g.init, g.bath, t)),
+        _fock_lindblad, "Lindblad trajectory"),
+    ("fock", "xi"): _Row(_each(_fock_xi), _each(_fock_xi_box),
+                         "box quadrature"),
+    ("psi01", "purity"): _Row(
+        _each(lambda g, t: ng.psi01_purity_t(g.init, g.bath, t)),
+        _psi01_lindblad, "Lindblad trajectory"),
+    ("two-mode", "purity"): _Row(
+        _two_mode_purity, lambda g: ps.purity_gaussian(g.cm),
+        "CM determinant"),
+    ("two-mode", "entropy"): _repeated(
+        lambda g: ps.von_neumann_entropy(g.cm)),
+    ("two-mode", "tau"): _repeated(
+        lambda g: ps.nonclassical_depth_gaussian(g.cm)),
+    ("two-mode", "logneg"): _Row(
+        lambda g: tm.log_negativity(g.cm), _mirrored_log_negativity,
+        "mirrored CM spectrum"),
+    ("two-mode", "mutual-info"): _repeated(
+        lambda g: tm.mutual_information(g.cm)),
+    ("two-mode", "fidelity"): _repeated(
+        lambda g: tm.teleportation_fidelity(g.cm)),
+    ("fidelity", "fidelity"): _Row(
+        lambda g: tm.fidelity_t(g.init, g.s.channel, g.t),
+        lambda g: tm.teleportation_fidelity(g.cm), "CM invariants"),
+    ("fidelity", "logneg"): _repeated(lambda g: tm.log_negativity(g.cm)),
+}
 
 
 def run_scenario(s: Scenario) -> ResultTable:
-    """Evaluate the scenario over its time grid (time points concurrently)."""
-    evaluate = _EVALUATORS[s.kind]
-    columns = ["t"]
-    for q in s.quantities:
+    """Evaluate the scenario over its whole time grid: every closed-form
+    column, then every oracle column, each from one row of the table."""
+    try:
+        grid = _Grid(s, _INITIAL[s.kind](s.initial))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid {s.kind} parameters: {exc}") from exc
+    rows = [_TABLE[(s.kind, q)] for q in s.quantities]
+    plain = [np.asarray(row.closed(grid), dtype=float) for row in rows]
+    oracle = ([np.asarray(row.oracle(grid), dtype=float) for row in rows]
+              if s.oracle else [])
+    columns, values = ["t"], [s.times]
+    for i, q in enumerate(s.quantities):
         columns.append(q)
+        values.append(plain[i])
         if s.oracle:
             columns.extend([f"{q}_oracle", f"{q}_absdiff"])
-
-    def one(t: float) -> list[float]:
-        values = evaluate(s, t, oracle=False)
-        row = [t]
-        oracle_values = evaluate(s, t, oracle=True) if s.oracle else {}
-        for q in s.quantities:
-            row.append(values[q])
-            if s.oracle:
-                row.append(oracle_values[q])
-                row.append(abs(values[q] - oracle_values[q]))
-        return row
-
-    with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
-        rows = list(pool.map(one, [float(t) for t in s.times]))
-    table = ResultTable(columns=columns, rows=rows)
-    for row in table.rows:
-        if not all(math.isfinite(v) for v in row):
-            raise ArithmeticError("non-finite entry in result table")
-    return table
+            values.extend([oracle[i], np.abs(plain[i] - oracle[i])])
+    data = np.column_stack(values)
+    if not np.all(np.isfinite(data)):
+        raise ArithmeticError("non-finite entry in result table")
+    paths = {q: row.path for q, row in zip(s.quantities, rows)}
+    return ResultTable(columns=columns, rows=data.tolist(), paths=paths)
 
 
 def emit(table: ResultTable, path: str):
     """Write the table as UTF-8 CSV with 17 significant digits."""
+    line = ",".join(["%.17g"] * len(table.columns)) + "\r\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(table.columns)
-        for row in table.rows:
-            writer.writerow([f"{v:.17g}" for v in row])
+        csv.writer(fh).writerow(table.columns)  # csv ends lines in \r\n
+        fh.write("".join(line % tuple(row) for row in table.rows))
 
 
 # ---------------------------------------------------------------------------

@@ -269,29 +269,8 @@ class TruncatedDensityMatrix:
     def purity(self) -> float:
         return float(np.real(np.sum(self.matrix * self.matrix.T)))
 
-    def occupations(self) -> np.ndarray:
-        return np.real(np.diag(self.matrix)).copy()
-
-    def mean_photons(self) -> float:
-        return float(np.dot(np.arange(self.dim), self.occupations()))
-
     def min_eigenvalue(self) -> float:
         return float(np.linalg.eigvalsh(0.5 * (self.matrix + self.matrix.conj().T))[0])
-
-    def covariance(self) -> np.ndarray:
-        """2x2 covariance matrix of the quadratures x=(a+a†)/√2, p=(a−a†)/(i√2)."""
-        a = fock_destroy(self.dim)
-        rho = self.matrix
-        e_a = np.trace(rho @ a)
-        e_aa = np.trace(rho @ a @ a)
-        e_ad_a = np.trace(rho @ a.conj().T @ a)
-        # centered second moments
-        va = e_aa - e_a ** 2
-        na = e_ad_a - abs(e_a) ** 2
-        sxx = float(np.real(0.5 + na + va.real))
-        spp = float(np.real(0.5 + na - va.real))
-        sxp = float(va.imag)
-        return np.array([[sxx, sxp], [sxp, spp]])
 
 
 def fock_destroy(dim: int) -> np.ndarray:

@@ -43,13 +43,16 @@ PHYS_TOL = 1e-12
 
 def _as_cm(cm, dim: int | None = None) -> np.ndarray:
     m = np.asarray(cm, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2 or m.shape[0] == 0:
+    if (m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] % 2
+            or m.shape[-1] == 0):
         raise ValueError("covariance matrix must be square with even dimension")
-    if dim is not None and m.shape[0] != dim:
+    if dim is not None and m.shape[-1] != dim:
         raise ValueError(f"expected a {dim}x{dim} covariance matrix")
-    if np.max(np.abs(m - m.T)) > PHYS_TOL * max(1.0, np.max(np.abs(m))):
+    mt = np.swapaxes(m, -1, -2)
+    scale = np.maximum(1.0, np.max(np.abs(m), axis=(-2, -1)))
+    if np.any(np.max(np.abs(m - mt), axis=(-2, -1)) > PHYS_TOL * scale):
         raise ValueError("covariance matrix must be symmetric")
-    return 0.5 * (m + m.T)
+    return 0.5 * (m + mt)
 
 
 def symplectic_form(n: int) -> np.ndarray:
@@ -63,19 +66,30 @@ def symplectic_form(n: int) -> np.ndarray:
     return out
 
 
+# The functions below take one covariance matrix (2n, 2n) or a stack of
+# them (..., 2n, 2n), and return one value per matrix.  Their checks hold
+# for every matrix of a stack.
+
 def symplectic_eigenvalues(cm) -> np.ndarray:
     """Symplectic spectrum: the n positive moduli of the eigenvalues of iΩσ,
     in descending order."""
     m = _as_cm(cm)
-    n = m.shape[0] // 2
+    n = m.shape[-1] // 2
     eigs = np.linalg.eigvals(1j * symplectic_form(n) @ m)
-    mods = np.sort(np.abs(eigs))[::-1]
-    return mods[::2].copy()
+    mods = np.sort(np.abs(eigs), axis=-1)[..., ::-1]
+    return mods[..., ::2].copy()
 
 
 def check_physical(cm, tol: float = PHYS_TOL) -> bool:
     """True iff every symplectic eigenvalue is >= 1/2 - tol."""
-    return bool(np.min(symplectic_eigenvalues(cm)) >= 0.5 - tol)
+    m = _as_cm(cm)
+    # cheaper than symplectic_eigenvalues on a stack of small matrices:
+    # one mode has ν² = |Det σ|, and the eigenvalues of the real Ωσ are ±iν
+    if m.shape[-1] == 2:
+        nus = np.sqrt(np.abs(np.linalg.det(m)))
+    else:
+        nus = np.abs(np.linalg.eigvals(symplectic_form(m.shape[-1] // 2) @ m))
+    return bool(np.min(nus) >= 0.5 - tol)
 
 
 def require_physical(cm) -> np.ndarray:
@@ -85,11 +99,11 @@ def require_physical(cm) -> np.ndarray:
     return m
 
 
-def purity_gaussian(cm) -> float:
+def purity_gaussian(cm):
     """Tr ρ² = 1/(2ⁿ √Det σ)."""
     m = require_physical(cm)
-    n = m.shape[0] // 2
-    return float(1.0 / (2 ** n * math.sqrt(np.linalg.det(m))))
+    n = m.shape[-1] // 2
+    return (1.0 / (2 ** n * np.sqrt(np.linalg.det(m))))[()]
 
 
 def entropy_function(x) -> np.ndarray:
@@ -101,18 +115,18 @@ def entropy_function(x) -> np.ndarray:
     return plus - minus
 
 
-def von_neumann_entropy(cm) -> float:
+def von_neumann_entropy(cm):
     """S_V = Σ f(ν_i) in nats; 0 for pure states."""
     m = require_physical(cm)
     nus = np.maximum(symplectic_eigenvalues(m), 0.5)
-    return float(np.sum(entropy_function(nus)))
+    return np.sum(entropy_function(nus), axis=-1)[()]
 
 
-def nonclassical_depth_gaussian(cm) -> float:
+def nonclassical_depth_gaussian(cm):
     """τ = max[(1 - 2u)/2, 0] with u the smallest ordinary eigenvalue of σ."""
     m = require_physical(cm)
-    u = float(np.linalg.eigvalsh(m)[0])
-    return max(0.5 * (1.0 - 2.0 * u), 0.0)
+    u = np.linalg.eigvalsh(m)[..., 0]
+    return np.maximum(0.5 * (1.0 - 2.0 * u), 0.0)[()]
 
 
 # ---------------------------------------------------------------------------
@@ -165,22 +179,23 @@ def params_from_cm(cm) -> SingleModeParams:
 
 @dataclass(frozen=True)
 class GaussianState:
-    """First moments and covariance matrix of an n-mode Gaussian state."""
+    """First moments and covariance matrix of an n-mode Gaussian state, or
+    a stack of states: ``mean`` (..., 2n) and ``cm`` (..., 2n, 2n)."""
 
     mean: np.ndarray
     cm: np.ndarray
 
     def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float).reshape(-1)
         cm = require_physical(self.cm)
-        if mean.size != cm.shape[0]:
+        mean = np.asarray(self.mean, dtype=float).reshape(cm.shape[:-2] + (-1,))
+        if mean.shape[-1] != cm.shape[-1]:
             raise ValueError("first-moment vector length must match the CM")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cm", cm)
 
     @property
     def n_modes(self) -> int:
-        return self.mean.size // 2
+        return self.mean.shape[-1] // 2
 
     @classmethod
     def vacuum(cls, n: int = 1) -> "GaussianState":
@@ -208,7 +223,7 @@ def wigner_gaussian(state: GaussianState, point) -> np.ndarray:
         raise ValueError("singular covariance matrix")
     inv = np.linalg.inv(state.cm)
     d = x - state.mean
-    quad = np.einsum("ij,jk,ik->i", d, inv, d)
+    quad = np.einsum("ij,ij->i", d @ inv, d)
     norm = (2.0 * np.pi) ** state.n_modes * math.sqrt(det)
     out = np.exp(-0.5 * quad) / norm
     return out[0] if scalar else out

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .channels import ChannelSpec, evolve_moments
+from .channels import ChannelSpec, _exp, _times, evolve_moments
 from .numerics import polynomial_real_roots
 from .phase_space import (
     GaussianState,
@@ -78,7 +78,8 @@ class StandardForm:
 
 @dataclass(frozen=True)
 class TwoModeInvariants:
-    """Local-symplectic invariants of a two-mode covariance matrix."""
+    """Local-symplectic invariants of a two-mode covariance matrix, or
+    arrays of them over a stack of matrices."""
 
     det_sigma: float
     det_alpha: float
@@ -124,42 +125,50 @@ def standard_form_to_cm(sf: StandardForm, validate: bool = True) -> np.ndarray:
     return require_physical(cm) if validate else cm
 
 
+# The functions below take one 4x4 covariance matrix or a stack
+# (..., 4, 4) of them, and return one value per matrix.  Their checks hold
+# for every matrix of a stack.
+
+# math.log elementwise, for the same reason as channels._exp
+_log = np.vectorize(math.log, otypes=[float])
+
+
 def _blocks(cm):
     m = np.asarray(cm, dtype=float)
-    if m.shape != (4, 4):
+    if m.shape[-2:] != (4, 4):
         raise ValueError("expected a 4x4 covariance matrix")
-    return m[:2, :2], m[2:, 2:], m[:2, 2:]
+    return m[..., :2, :2], m[..., 2:, 2:], m[..., :2, 2:]
 
 
 def invariants(cm) -> TwoModeInvariants:
     """Determinants of the 2x2 blocks and of the full matrix."""
     alpha, beta, gamma = _blocks(require_physical(cm))
     return TwoModeInvariants(
-        det_sigma=float(np.linalg.det(cm)),
-        det_alpha=float(np.linalg.det(alpha)),
-        det_beta=float(np.linalg.det(beta)),
-        det_gamma=float(np.linalg.det(gamma)),
+        det_sigma=np.linalg.det(np.asarray(cm, dtype=float))[()],
+        det_alpha=np.linalg.det(alpha)[()],
+        det_beta=np.linalg.det(beta)[()],
+        det_gamma=np.linalg.det(gamma)[()],
     )
 
 
-def ppt_symplectic_eigenvalues(cm) -> tuple[float, float]:
+def ppt_symplectic_eigenvalues(cm):
     """(ν̃₋, ν̃₊) of the partially transposed covariance matrix, from the
     closed form 2ν̃∓² = Δ̃ ∓ √(Δ̃² - 4 Det σ)."""
     inv = invariants(cm)
     dt = inv.delta_tilde
     disc = dt * dt - 4.0 * inv.det_sigma
-    if disc < -1e-12:
+    if np.any(disc < -1e-12):
         raise ArithmeticError("negative PPT discriminant beyond tolerance")
-    root = math.sqrt(max(disc, 0.0))
-    nu_minus = math.sqrt(max(0.5 * (dt - root), 0.0))
-    nu_plus = math.sqrt(0.5 * (dt + root))
-    return nu_minus, nu_plus
+    root = np.sqrt(np.maximum(disc, 0.0))
+    nu_minus = np.sqrt(np.maximum(0.5 * (dt - root), 0.0))
+    nu_plus = np.sqrt(0.5 * (dt + root))
+    return nu_minus[()], nu_plus[()]
 
 
-def log_negativity(cm) -> float:
+def log_negativity(cm):
     """E_N = max(0, -ln 2ν̃₋)."""
     nu_minus, _ = ppt_symplectic_eigenvalues(cm)
-    return max(0.0, -math.log(2.0 * nu_minus))
+    return np.maximum(0.0, -_log(2.0 * nu_minus))[()]
 
 
 def is_separable(cm, tol: float = 1e-12) -> bool:
@@ -167,15 +176,15 @@ def is_separable(cm, tol: float = 1e-12) -> bool:
     return nu_minus >= 0.5 - tol
 
 
-def mutual_information(cm) -> float:
+def mutual_information(cm):
     """I = S_V(mode 1) + S_V(mode 2) - S_V(joint), in nats."""
     m = require_physical(cm)
     alpha, beta, _ = _blocks(m)
     value = (von_neumann_entropy(alpha) + von_neumann_entropy(beta)
              - von_neumann_entropy(m))
-    if value < -1e-9:
+    if np.any(value < -1e-9):
         raise ArithmeticError("subadditivity violated beyond tolerance")
-    return max(value, 0.0)
+    return np.maximum(value, 0.0)[()]
 
 
 def smallest_eigenvalue_u(sf: StandardForm) -> float:
@@ -298,13 +307,15 @@ def coefficient_set(sf: StandardForm, ch: ChannelSpec) -> CoefficientSet:
     )
 
 
-def evolved_invariants(sf0: StandardForm, ch: ChannelSpec, t: float,
+def evolved_invariants(sf0: StandardForm, ch: ChannelSpec, t,
                        method: str = "auto") -> TwoModeInvariants:
     """Invariants of the evolved state, by coefficient polynomials when the
     couplings are equal (and bath 1 is in the zero-angle gauge), otherwise by
-    direct determinants of the evolved covariance matrix."""
+    direct determinants of the evolved covariance matrix.  An array of times
+    gives arrays of invariants."""
     if method not in ("auto", "coefficients", "direct"):
         raise ValueError("method must be auto, coefficients or direct")
+    t = _times(t)
     if method != "direct":
         try:
             coeff = coefficient_set(sf0, ch)
@@ -312,12 +323,12 @@ def evolved_invariants(sf0: StandardForm, ch: ChannelSpec, t: float,
             if method == "coefficients":
                 raise
         else:
-            k = math.exp(-ch.baths[0].gamma * t)
+            k = _exp(-ch.baths[0].gamma * t)
             return TwoModeInvariants(
-                det_sigma=float(coeff.det_sigma(k)),
-                det_alpha=float(coeff.det_alpha(k)),
-                det_beta=float(coeff.det_beta(k)),
-                det_gamma=float(coeff.det_gamma(k)),
+                det_sigma=coeff.det_sigma(k)[()],
+                det_alpha=coeff.det_alpha(k)[()],
+                det_beta=coeff.det_beta(k)[()],
+                det_gamma=coeff.det_gamma(k)[()],
             )
     state = GaussianState(np.zeros(4), standard_form_to_cm(sf0))
     return invariants(evolve_moments(state, ch, t).cm)
@@ -442,9 +453,7 @@ def two_mode_tau_t(initial, ch: ChannelSpec, t):
     if ch.n_modes != 2 or not ch.equal_couplings:
         raise ValueError("two equal-coupling baths are required")
     b1, b2 = ch.baths
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ValueError("time must be nonnegative")
+    t = _times(t)
     k = np.exp(-b1.gamma * t)
     m1, m2 = b1.mu_inf, b2.mu_inf
 
@@ -479,7 +488,7 @@ def two_mode_tau_t(initial, ch: ChannelSpec, t):
 # teleportation fidelity
 # ---------------------------------------------------------------------------
 
-def teleportation_fidelity(cm) -> float:
+def teleportation_fidelity(cm):
     """Optimal coherent-state teleportation fidelity F = 1/(1 + 2ν̃₋)."""
     nu_minus, _ = ppt_symplectic_eigenvalues(cm)
     return 1.0 / (1.0 + 2.0 * nu_minus)
@@ -494,9 +503,7 @@ def fidelity_t(params: SqueezedThermalParams, ch: ChannelSpec, t):
     b1, b2 = ch.baths
     if not (b1.is_thermal and b2.is_thermal) or b1.mu_inf != b2.mu_inf:
         raise ValueError("the closed form assumes equal thermal baths")
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ValueError("time must be nonnegative")
+    t = _times(t)
     k = np.exp(-b1.gamma * t)
     nu = (k * math.exp(-2.0 * params.r) / (2.0 * math.sqrt(params.mu))
           + (1.0 - k) / (2.0 * b1.mu_inf))

@@ -113,6 +113,30 @@ class TestMomentEvolution:
         with pytest.raises(ValueError):
             ch.evolve_moments(state, ch.ChannelSpec((_random_bath(RNG),)), 0.1)
 
+    def test_time_array_gives_stack(self):
+        # the same bits as one time at a time, with the decay factors
+        # rounded as math.exp rounds them (np.exp differs for some t)
+        b1 = ch.BathParams(gamma=0.7, mu_inf=0.4, r_inf=0.3, phi_inf=0.2)
+        b2 = ch.BathParams(gamma=1.9, mu_inf=0.8)
+        spec = ch.ChannelSpec((b1, b2))
+        state = ps.GaussianState(np.array([0.3, -0.2, 1.0, 0.5]),
+                                 ps.random_physical_cm(
+                                     2, np.random.default_rng(5)))
+        times = np.linspace(0.0, 30.0, 400)
+        stack = ch.evolve_moments(state, spec, times)
+        assert stack.cm.shape == (400, 4, 4)
+        assert stack.mean.shape == (400, 4)
+        for i, t in enumerate(times):
+            one = ch.evolve_moments(state, spec, float(t))
+            assert np.array_equal(stack.cm[i], one.cm)
+            assert np.array_equal(stack.mean[i], one.mean)
+        g = ch.gamma_matrix(spec, times)
+        noise = ch.sigma_inf_t(spec, times)
+        for i, t in enumerate(times):
+            assert g[i, 2, 2] == math.exp(-0.5 * b2.gamma * t)
+            assert np.array_equal(
+                noise[i, :2, :2], ch.env_cm(b1) * (1.0 - math.exp(-b1.gamma * t)))
+
 
 class TestClosedForms:
     @given(st.integers(min_value=0, max_value=10 ** 9))

@@ -42,8 +42,9 @@ class TestSpecialFunctions:
     @given(st.floats(min_value=0.0, max_value=600.0))
     @settings(max_examples=60, deadline=None)
     def test_bessel_i0_log_matches_reference(self, x):
+        # unscaled I0, finite up to x ~ 713
         assert nm.bessel_i0_log(x) == pytest.approx(
-            float(np.log(special.i0e(x)) + x), rel=1e-12, abs=1e-12)
+            float(np.log(special.i0(x))), rel=1e-12, abs=1e-12)
 
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError):
