@@ -122,9 +122,10 @@ def criterion_4() -> tuple[bool, str]:
     for n in range(11):
         for mu_inf in (0.25, 0.5, 1.0):
             bath = ch.BathParams(gamma=1.0, mu_inf=mu_inf)
-            n_bath = ch.nm_from_bath(bath).N
+            n_bath, m_bath = ch.nm_from_bath(bath)
             dim = max(nm.default_truncation(n_bath, n), 2 * n + 24)
-            purities = nm.lindblad_purities(nm.fock_state(n, dim), bath, t_grid)
+            purities = nm.lindblad_purities(nm.fock_state(n, dim), bath.gamma,
+                                            n_bath, m_bath, t_grid)
             for t, p in zip(t_grid, purities):
                 worst_lb = max(worst_lb,
                                abs(p - ng.fock_purity_thermal(n, mu_inf, t)))

@@ -1,9 +1,10 @@
 """Gaussian dissipative channels: bath parametrization, exact moment
 evolution, and the single-mode closed-form decoherence trackers.
 
-A bath is a squeezed thermal reservoir described either by its asymptotic
-purity/squeezing (mu_inf, r_inf, phi_inf) together with the coupling gamma,
-or equivalently by the correlation parameters (N, M).  Its covariance
+A bath is a squeezed thermal reservoir described by its asymptotic
+purity/squeezing (mu_inf, r_inf, phi_inf) together with the coupling gamma.
+Its correlation parameters (N, M), which the master-equation oracle of
+:mod:`cvdec.numerics` takes, come from :func:`nm_from_bath`.  Its covariance
 matrix is
 
     σ∞ = [[1/2 + N + Re M, Im M], [Im M, 1/2 + N - Re M]],
@@ -36,11 +37,9 @@ from .phase_space import (
 
 __all__ = [
     "BathParams",
-    "NMParams",
     "ChannelSpec",
     "PhiResult",
     "env_cm",
-    "bath_from_nm",
     "nm_from_bath",
     "gamma_matrix",
     "sigma_inf_t",
@@ -71,28 +70,10 @@ class BathParams:
             raise ValueError("asymptotic purity must lie in (0, 1]")
         if self.r_inf < 0:
             raise ValueError("bath squeezing must be nonnegative")
-        # the induced (N, M) automatically satisfy |M|^2 <= N(N+1)
-        nm = nm_from_bath(self)
-        if abs(nm.M) ** 2 > nm.N * (nm.N + 1.0) + 1e-12:
-            raise ValueError("bath parameters violate |M|^2 <= N(N+1)")
 
     @property
     def is_thermal(self) -> bool:
         return self.r_inf == 0.0
-
-
-@dataclass(frozen=True)
-class NMParams:
-    """Reservoir correlation parameters (mean photons N, squeezing M)."""
-
-    N: float
-    M: complex
-
-    def __post_init__(self):
-        if self.N < 0:
-            raise ValueError("mean photon number must be nonnegative")
-        if abs(self.M) ** 2 > self.N * (self.N + 1.0) + 1e-12:
-            raise ValueError("|M|^2 must not exceed N(N+1)")
 
 
 @dataclass(frozen=True)
@@ -130,21 +111,12 @@ def env_cm(bath: BathParams) -> np.ndarray:
     ]) / (2.0 * bath.mu_inf)
 
 
-def nm_from_bath(b: BathParams) -> NMParams:
+def nm_from_bath(b: BathParams) -> tuple[float, complex]:
+    """Mean photon number N and squeezing correlation M of the bath; they
+    satisfy N(N+1) - |M|² = (1/μ∞² - 1)/4 ≥ 0."""
     n = 0.5 * (math.cosh(2.0 * b.r_inf) / b.mu_inf - 1.0)
     m = math.sinh(2.0 * b.r_inf) / (2.0 * b.mu_inf) * np.exp(-2j * b.phi_inf)
-    return NMParams(N=n, M=complex(m))
-
-
-def bath_from_nm(nm: NMParams, gamma: float) -> BathParams:
-    disc = (2.0 * nm.N + 1.0) ** 2 - 4.0 * abs(nm.M) ** 2
-    if disc <= 0:
-        raise ValueError("invalid (N, M): nonpositive purity discriminant")
-    mu = 1.0 / math.sqrt(disc)
-    cosh2r = math.sqrt(1.0 + 4.0 * mu * mu * abs(nm.M) ** 2)
-    r = 0.5 * math.acosh(max(cosh2r, 1.0))
-    phi = -0.5 * math.atan2(nm.M.imag, nm.M.real) if nm.M != 0 else 0.0
-    return BathParams(gamma=gamma, mu_inf=min(mu, 1.0), r_inf=r, phi_inf=phi)
+    return n, complex(m)
 
 
 # math.exp elementwise.  np.exp rounds differently in the last bit for a

@@ -243,19 +243,12 @@ def _two_mode_purity(g: _Grid) -> np.ndarray:
     return 1.0 / (4.0 * np.sqrt(inv.det_sigma))
 
 
-def _fock_dim(g: _Grid, n: int, floor: int) -> int:
-    b = ch.nm_from_bath(g.bath)
-    return max(nm.default_truncation(b.N + abs(b.M), n), floor)
-
-
-def _fock_lindblad(g: _Grid) -> np.ndarray:
-    dim = _fock_dim(g, g.init, 2 * g.init + 24)
-    return nm.lindblad_purities(nm.fock_state(g.init, dim), g.bath, g.t)
-
-
-def _psi01_lindblad(g: _Grid) -> np.ndarray:
-    dim = _fock_dim(g, 1, 32)
-    return nm.lindblad_purities(nm.psi01_state(g.init, dim), g.bath, g.t)
+def _lindblad_purities(g: _Grid, state: Callable[..., nm.TruncatedDensityMatrix],
+                       n: int, floor: int) -> np.ndarray:
+    """Tr ρ² along one master-equation trajectory from state(init, dim)."""
+    N, M = ch.nm_from_bath(g.bath)
+    dim = max(nm.default_truncation(N + abs(M), n), floor)
+    return nm.lindblad_purities(state(g.init, dim), g.bath.gamma, N, M, g.t)
 
 
 def _fock_xi(g: _Grid, t: float) -> float:
@@ -300,12 +293,15 @@ _TABLE: dict[tuple[str, str], _Row] = {
     ("cat", "xi"): _repeated(_each(_cat_xi)),
     ("fock", "purity"): _Row(
         _each(lambda g, t: ng.fock_purity_t(g.init, g.bath, t)),
-        _fock_lindblad, "Lindblad trajectory"),
+        lambda g: _lindblad_purities(g, nm.fock_state, g.init,
+                                     2 * g.init + 24),
+        "Lindblad trajectory"),
     ("fock", "xi"): _Row(_each(_fock_xi), _each(_fock_xi_box),
                          "box quadrature"),
     ("psi01", "purity"): _Row(
         _each(lambda g, t: ng.psi01_purity_t(g.init, g.bath, t)),
-        _psi01_lindblad, "Lindblad trajectory"),
+        lambda g: _lindblad_purities(g, nm.psi01_state, 1, 32),
+        "Lindblad trajectory"),
     ("two-mode", "purity"): _Row(
         _two_mode_purity, lambda g: ps.purity_gaussian(g.cm),
         "CM determinant"),

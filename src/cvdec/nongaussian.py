@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy import special
 from scipy.integrate import quad
 
 from .channels import BathParams, env_cm
@@ -33,7 +34,6 @@ from .numerics import (
     QuadratureSpec,
     bessel_i0_log,
     integrate_phase_space,
-    laguerre,
 )
 
 __all__ = [
@@ -207,7 +207,7 @@ def fock_char_t(n: int, bath: BathParams, t: float) -> Callable[[np.ndarray], np
         s2 = np.einsum("ij,ij->i", pts, pts)
         quad_form = np.einsum("ij,jk,ik->i", pts, noise, pts)
         return (np.exp(-0.25 * k * s2 - 0.5 * quad_form)
-                * laguerre(n, 0.5 * k * s2))
+                * special.eval_laguerre(n, 0.5 * k * s2))
 
     return evaluate
 
@@ -235,7 +235,7 @@ def fock_purity_t(n: int, bath: BathParams, t: float) -> float:
 
     def integrand(s):
         log_weight = -xi * s + (bessel_i0_log(beta * s) if beta > 0 else 0.0)
-        return math.exp(log_weight) * float(laguerre(n, s)) ** 2
+        return math.exp(log_weight) * special.eval_laguerre(n, s) ** 2
 
     upper = (2.0 * n + 40.0) / (xi - beta)
     value, err = quad(integrand, 0.0, upper, limit=200, epsabs=1e-13, epsrel=1e-12)
@@ -362,11 +362,14 @@ def _radial_negative_part(w: WignerField, r_max: float):
 def _box_negative_part(w: WignerField, tol: float, max_refinements: int = 20):
     # |W| has gradient kinks along the nodal curves; the adaptive panels
     # crowd onto them, and at t = 0 the |W| of |1>..|4> needs 13-15
-    # bisection rounds to reach 1e-8.
-    spec = QuadratureSpec(extents=w.domain, tol=tol,
-                          max_refinements=max_refinements)
-    res_abs = integrate_phase_space(lambda p: np.abs(w.eval(p)), spec)
-    res_sig = integrate_phase_space(lambda p: np.asarray(w.eval(p)), spec)
+    # bisection rounds to reach 1e-8.  The smooth signed W takes tol/2 and
+    # |W| what W leaves of tol, so that the summed error stays within tol.
+    res_sig = integrate_phase_space(
+        lambda p: np.asarray(w.eval(p)),
+        QuadratureSpec(w.domain, tol / 2, max_refinements))
+    res_abs = integrate_phase_space(
+        lambda p: np.abs(w.eval(p)),
+        QuadratureSpec(w.domain, tol - res_sig.error, max_refinements))
     return res_abs.value, res_sig.value, res_abs.error + res_sig.error
 
 

@@ -27,7 +27,6 @@ __all__ = [
     "QuadratureError",
     "TruncationError",
     "TruncatedDensityMatrix",
-    "laguerre",
     "bessel_i0_log",
     "integrate_phase_space",
     "fock_destroy",
@@ -43,23 +42,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # special functions
 # ---------------------------------------------------------------------------
-
-def laguerre(n: int, x):
-    """Laguerre polynomial L_n(x) by the three-term recurrence.
-
-    Vectorized over ``x``.
-    """
-    if n < 0 or n != int(n):
-        raise ValueError("order must be a nonnegative integer")
-    x = np.asarray(x, dtype=float)
-    p_prev = np.ones_like(x)
-    if n == 0:
-        return p_prev
-    p = 1.0 - x
-    for m in range(1, n):
-        p, p_prev = ((2 * m + 1 - x) * p - m * p_prev) / (m + 1), p
-    return p
-
 
 def bessel_i0_log(x):
     """ln I_0(x) = ln(e^{-|x|} I_0(x)) + |x|, stable far beyond the overflow
@@ -338,23 +320,12 @@ def _check_truncation(rho):
         raise TruncationError(f"trace drift {drift:.2e} exceeds 1e-8")
 
 
-def _nm_of_bath(bath):
-    """(gamma, N, M) of a bath described either by NMParams-like or
-    BathParams-like objects (duck-typed to avoid an import cycle)."""
-    if hasattr(bath, "N"):
-        return getattr(bath, "gamma", 1.0), bath.N, bath.M
-    mu, r, phi = bath.mu_inf, bath.r_inf, bath.phi_inf
-    N = 0.5 * (np.cosh(2.0 * r) / mu - 1.0)
-    M = np.sinh(2.0 * r) / (2.0 * mu) * np.exp(-2j * phi)
-    return bath.gamma, N, M
-
-
-def _trajectory(rho0: TruncatedDensityMatrix, bath, times):
+def _trajectory(rho0: TruncatedDensityMatrix, gamma: float, N: float,
+                M: complex, times):
     """Fock-basis states at ascending ``times``: vec(rho) is stepped by
     ``expm_multiply`` with the sparse Lindbladian, each state is checked."""
     if any(t < 0 for t in times) or any(b < a for a, b in zip(times, times[1:])):
         raise ValueError("times must be ascending and nonnegative")
-    gamma, N, M = _nm_of_bath(bath)
     if abs(M) ** 2 > N * (N + 1.0) + 1e-12:
         raise ValueError("unphysical bath: |M|^2 > N(N+1)")
     dim = rho0.dim
@@ -370,23 +341,24 @@ def _trajectory(rho0: TruncatedDensityMatrix, bath, times):
         yield rho
 
 
-def lindblad_evolve(rho0: TruncatedDensityMatrix, bath, t: float) -> TruncatedDensityMatrix:
+def lindblad_evolve(rho0: TruncatedDensityMatrix, gamma: float, N: float,
+                    M: complex, t: float) -> TruncatedDensityMatrix:
     """Integrate the dissipative master equation up to time ``t``.
 
-    The generator is the sparse d²×d² Lindbladian on the truncated Fock
-    basis, applied by ``scipy.sparse.linalg.expm_multiply``.  ``bath`` may
-    carry either (gamma, mu_inf, r_inf, phi_inf) or (N, M) parameters.
+    The bath is the coupling ``gamma`` and the correlations (N, M), with
+    |M|² ≤ N(N+1).  The generator is the sparse d²×d² Lindbladian on the
+    truncated Fock basis, applied by ``scipy.sparse.linalg.expm_multiply``.
     Trace preservation and Fock-tail containment are checked on the result.
     """
-    *_, rho = _trajectory(rho0, bath, [t])
+    *_, rho = _trajectory(rho0, gamma, N, M, [t])
     return TruncatedDensityMatrix(0.5 * (rho + rho.conj().T))
 
 
-def lindblad_purities(rho0: TruncatedDensityMatrix, bath,
-                      times: Sequence[float]) -> np.ndarray:
+def lindblad_purities(rho0: TruncatedDensityMatrix, gamma: float, N: float,
+                      M: complex, times: Sequence[float]) -> np.ndarray:
     """Tr rho^2 sampled along a single trajectory (times must be ascending)."""
     return np.array([float(np.real(np.sum(rho * rho.T)))
-                     for rho in _trajectory(rho0, bath, list(times))])
+                     for rho in _trajectory(rho0, gamma, N, M, list(times))])
 
 
 # ---------------------------------------------------------------------------

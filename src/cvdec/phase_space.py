@@ -81,13 +81,20 @@ def symplectic_eigenvalues(cm) -> np.ndarray:
 
 
 def check_physical(cm, tol: float = PHYS_TOL) -> bool:
-    """True iff every symplectic eigenvalue is >= 1/2 - tol."""
+    """True iff σ > 0 and every symplectic eigenvalue is >= 1/2 - tol."""
     m = _as_cm(cm)
     # cheaper than symplectic_eigenvalues on a stack of small matrices:
-    # one mode has ν² = |Det σ|, and the eigenvalues of the real Ωσ are ±iν
+    # one mode has ν² = Det σ, and the eigenvalues of the real Ωσ are ±iν
     if m.shape[-1] == 2:
-        nus = np.sqrt(np.abs(np.linalg.det(m)))
+        det = np.linalg.det(m)
+        if np.any(det <= 0.0) or np.any(m[..., 0, 0] <= 0.0):
+            return False
+        nus = np.sqrt(det)
     else:
+        try:
+            np.linalg.cholesky(m)
+        except np.linalg.LinAlgError:
+            return False
         nus = np.abs(np.linalg.eigvals(symplectic_form(m.shape[-1] // 2) @ m))
     return bool(np.min(nus) >= 0.5 - tol)
 

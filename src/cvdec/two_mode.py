@@ -343,61 +343,39 @@ def _nu_minus_t(sf0: StandardForm, ch: ChannelSpec, t: float) -> float:
     return ppt_symplectic_eigenvalues(evolve_moments(state, ch, t).cm)[0]
 
 
-def _polish(sf0: StandardForm, ch: ChannelSpec, t_guess: float) -> float | None:
-    """Bisection refinement of the separability crossing around t_guess."""
-    g = lambda t: _nu_minus_t(sf0, ch, t) - 0.5
-    lo, hi = t_guess * (1.0 - 1e-3), t_guess * (1.0 + 1e-3)
-    for _ in range(40):
-        if g(lo) < 0.0 < g(hi):
-            return float(brentq(g, lo, hi, xtol=1e-14, rtol=1e-15))
-        lo, hi = max(lo * 0.8, 0.0), hi * 1.25
-        if hi > t_guess + 100.0 / ch.baths[0].gamma:
-            break
-    return None
-
-
 def entanglement_time(sf0: StandardForm, ch: ChannelSpec) -> float | None:
     """Time at which an initially entangled state becomes separable, or None
     if it stays entangled forever.
 
-    With equal couplings the separability condition is a quartic in
-    k = e^{-γt}; the real root in (0, 1] closest to one is refined by
-    bisection on ν̃₋(t) - 1/2.  Unequal couplings are handled by monotone
-    bracketing on ν̃₋(t) directly.
+    The crossing ν̃₋(t) = 1/2 is bracketed by multiplying t by 1.7, from the
+    quartic root in k = e^{-γt} closest to one when the couplings are equal
+    and from 1/γ otherwise, and is then found by Brent's method.
     """
     if is_separable(standard_form_to_cm(sf0)):
         raise ValueError("initial state is separable")
     gamma = ch.baths[0].gamma
 
-    t_guess = None
+    t_lo, t_hi = 0.0, 1.0 / gamma
     try:
         coeff = coefficient_set(sf0, ch)
     except ValueError:
         pass
     else:
-        u, v, w, y, z = coeff.quartic
-        roots = [k for k in polynomial_real_roots([u, v, w, y, z])
+        roots = [k for k in polynomial_real_roots(coeff.quartic)
                  if 0.0 < k <= 1.0 + 1e-12]
         if roots:
             k_ent = min(min(roots, key=lambda k: abs(1.0 - k)), 1.0)
             if k_ent < 1.0 - 1e-15:
-                t_guess = -math.log(k_ent) / gamma
+                t_hi = -math.log(k_ent) / gamma
 
-    if t_guess is None:
-        # direct bracketing: find any t with nu_minus(t) > 1/2
-        t_hi = 1.0 / gamma
-        for _ in range(60):
-            if _nu_minus_t(sf0, ch, t_hi) > 0.5:
-                break
-            t_hi *= 1.7
-        else:
-            return None
-        t_star = float(brentq(lambda t: _nu_minus_t(sf0, ch, t) - 0.5,
-                              0.0, t_hi, xtol=1e-14, rtol=1e-15))
+    g = lambda t: _nu_minus_t(sf0, ch, t) - 0.5
+    for _ in range(60):
+        if g(t_hi) > 0.0:
+            break
+        t_lo, t_hi = t_hi, 1.7 * t_hi
     else:
-        t_star = _polish(sf0, ch, t_guess)
-    if t_star is None:
         return None
+    t_star = float(brentq(g, t_lo, t_hi, xtol=1e-14, rtol=1e-15))
     # reject rounding-level crossings (e.g. pure baths, where nu_minus only
     # reaches 1/2 asymptotically): the state must be strictly separable a
     # finite stretch beyond the candidate time

@@ -345,19 +345,20 @@ def _pointwise(s, t):
                                             tol=1e-9)),
                 "xi": (xi, xi)}
     if s.kind in ("fock", "psi01"):
-        b = ch.nm_from_bath(bath)
+        N, M = ch.nm_from_bath(bath)
         if s.kind == "psi01":
-            dim = max(nm.default_truncation(b.N + abs(b.M), 1), 32)
+            dim = max(nm.default_truncation(N + abs(M), 1), 32)
             rho0 = nm.psi01_state(init["vartheta"], dim)
             return {"purity": (ng.psi01_purity_t(init["vartheta"], bath, t),
-                               nm.lindblad_evolve(rho0, bath, t).purity())}
+                               nm.lindblad_evolve(rho0, bath.gamma, N, M,
+                                                  t).purity())}
         n = init["n"]
-        dim = max(nm.default_truncation(b.N + abs(b.M), n), 2 * n + 24)
+        dim = max(nm.default_truncation(N + abs(M), n), 2 * n + 24)
         w = ng.fock_wigner_t(n, bath.mu_inf, t, bath.gamma)
         box = ng.WignerField(eval=w.eval, domain=w.domain)
         return {"purity": (ng.fock_purity_t(n, bath, t),
-                           nm.lindblad_evolve(nm.fock_state(n, dim), bath,
-                                              t).purity()),
+                           nm.lindblad_evolve(nm.fock_state(n, dim), bath.gamma,
+                                              N, M, t).purity()),
                 "xi": (ng.negative_part(w).xi,
                        ng.negative_part(box, tol=1e-8).xi)}
     params = tm.SqueezedThermalParams(init["mu"], init["r"])

@@ -7,11 +7,12 @@ from scipy import integrate, special
 from cvdec import nongaussian as ng
 from cvdec import numerics as nm
 from cvdec import phase_space as ps
-from cvdec.channels import BathParams
+from cvdec.channels import BathParams, nm_from_bath
 
 
 THERMAL = BathParams(gamma=1.0, mu_inf=0.5)
 SQUEEZED = BathParams(gamma=1.0, mu_inf=0.5, r_inf=0.4, phi_inf=0.3)
+SQUEEZED_NM = (SQUEEZED.gamma, *nm_from_bath(SQUEEZED))  # (gamma, N, M)
 
 
 def _wigner_mass(w: ng.WignerField) -> float:
@@ -105,7 +106,7 @@ class TestFockStates:
         m_abs = math.sinh(2 * SQUEEZED.r_inf) / (2 * SQUEEZED.mu_inf)
         dim = max(nm.default_truncation(p_n + m_abs, n), 2 * n + 24)
         times = [0.25, 0.75]
-        num = nm.lindblad_purities(nm.fock_state(n, dim), SQUEEZED, times)
+        num = nm.lindblad_purities(nm.fock_state(n, dim), *SQUEEZED_NM, times)
         closed = [ng.fock_purity_t(n, SQUEEZED, t) for t in times]
         assert np.allclose(num, closed, atol=1e-6)
 
@@ -156,7 +157,8 @@ class TestPsi01:
         m_abs = math.sinh(2 * SQUEEZED.r_inf) / (2 * SQUEEZED.mu_inf)
         dim = max(nm.default_truncation(p_n + m_abs, 1), 32)
         t = 0.5
-        num = nm.lindblad_purities(nm.psi01_state(vartheta, dim), SQUEEZED, [t])[0]
+        num = nm.lindblad_purities(nm.psi01_state(vartheta, dim), *SQUEEZED_NM,
+                                   [t])[0]
         assert ng.psi01_purity_t(vartheta, SQUEEZED, t) == pytest.approx(num, abs=1e-6)
 
     def test_phase_periodicity(self):
@@ -213,6 +215,13 @@ class TestNegativePart:
         boxed = ng.WignerField(eval=w.eval, domain=w.domain)
         assert ng.negative_part(boxed, tol=1e-8).xi == pytest.approx(
             expected, abs=1e-8)
+
+    def test_box_error_estimate_within_tolerance(self):
+        # the |W| and W integrals share the tolerance instead of each
+        # taking all of it
+        w = ng.fock_wigner_t(2, 0.5, 0.0)
+        boxed = ng.WignerField(eval=w.eval, domain=w.domain)
+        assert ng.negative_part(boxed, tol=1e-8).est_error <= 1e-8
 
     def test_box_negative_part_raises_under_round_cap(self):
         w = ng.fock_wigner_t(2, 0.5, 0.0)

@@ -36,6 +36,17 @@ class TestSymplectic:
         with pytest.raises(ValueError):
             ps.require_physical(0.4 * np.eye(2))
 
+    @pytest.mark.parametrize("cm", [
+        np.diag([1.0, -1.0]), np.diag([-1.0, -1.0]),
+        np.diag([1.0, 1.0, -1.0, -1.0]),
+    ])
+    def test_indefinite_rejected(self, cm):
+        # every |eigenvalue| of Ωσ is 1 here, but σ is not positive definite
+        assert not ps.check_physical(cm)
+        assert not ps.check_physical(np.stack([ps.vacuum_cm(len(cm) // 2), cm]))
+        with pytest.raises(ValueError):
+            ps.GaussianState(np.zeros(len(cm)), cm)
+
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError):
             ps.symplectic_eigenvalues(np.array([[1.0, 0.3], [0.0, 1.0]]))

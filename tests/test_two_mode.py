@@ -140,6 +140,24 @@ class TestEntanglementTime:
         assert not tm.is_separable(_evolved_cm(sf, ch, t_ent - eps))
         assert tm.is_separable(_evolved_cm(sf, ch, t_ent + eps), tol=1e-9)
 
+    @pytest.mark.parametrize("baths", [
+        # unequal couplings: the walk starts at 1/gamma
+        (BathParams(gamma=1.0, mu_inf=0.5), BathParams(gamma=2.0, mu_inf=0.4)),
+        # a squeezed first bath at a nonzero angle: no coefficient expansion
+        (BathParams(gamma=1.0, mu_inf=0.5, r_inf=0.3, phi_inf=0.4),
+         BathParams(gamma=1.0, mu_inf=0.5)),
+    ])
+    def test_direct_crossing_without_quartic(self, baths):
+        sf = tm.SqueezedThermalParams(mu=0.7, r=0.9).standard_form
+        ch = ChannelSpec(baths)
+        with pytest.raises(ValueError):
+            tm.coefficient_set(sf, ch)
+        t_ent = tm.entanglement_time(sf, ch)
+        assert t_ent is not None
+        eps = 1e-6
+        assert not tm.is_separable(_evolved_cm(sf, ch, t_ent - eps))
+        assert tm.is_separable(_evolved_cm(sf, ch, t_ent + eps), tol=1e-9)
+
     def test_symmetric_closed_form(self):
         params = tm.SqueezedThermalParams(mu=0.7, r=0.9)
         mu_inf_global = 0.25  # per-mode purity 0.5
