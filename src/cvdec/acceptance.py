@@ -149,8 +149,9 @@ def criterion_5() -> tuple[bool, str]:
                           phi_inf=rng.uniform(-np.pi / 2 + 0.01, np.pi / 2)),
         ))
         t = rng.uniform(0.0, 3.0)
-        poly = tm.evolved_invariants(sf, chan, t, method="coefficients")
-        direct = tm.evolved_invariants(sf, chan, t, method="direct")
+        poly = tm.coefficient_set(sf, chan).at(math.exp(-g * t))
+        state = ps.GaussianState(np.zeros(4), tm.standard_form_to_cm(sf))
+        direct = tm.invariants(ch.evolve_moments(state, chan, t).cm)
         for field in ("det_sigma", "det_alpha", "det_beta", "det_gamma"):
             worst = max(worst, abs(getattr(poly, field) - getattr(direct, field)))
     return worst < 1e-10, f"50 draws; worst |polynomial - determinant| = {worst:.2e} (allowed 1e-10)"

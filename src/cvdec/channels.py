@@ -164,8 +164,8 @@ def evolve_moments(state: GaussianState, ch: ChannelSpec, t) -> GaussianState:
     return GaussianState(g @ state.mean, g @ state.cm @ g + sigma_inf_t(ch, t))
 
 
-def gaussian_map_check(xm, ym, tol: float = 1e-12) -> bool:
-    """Complete positivity of σ → XᵀσX + Y: Y + iΩ - iXᵀΩX ⪰ -tol."""
+def gaussian_map_check(xm, ym) -> bool:
+    """Complete positivity of σ → XᵀσX + Y: Y + iΩ - iXᵀΩX ⪰ -1e-12."""
     x = np.asarray(xm, dtype=float)
     y = np.asarray(ym, dtype=float)
     if x.shape != y.shape or x.ndim != 2 or x.shape[0] != x.shape[1] or x.shape[0] % 2:
@@ -174,7 +174,7 @@ def gaussian_map_check(xm, ym, tol: float = 1e-12) -> bool:
         raise ValueError("Y must be symmetric")
     omega = symplectic_form(x.shape[0] // 2)
     h = y + 1j * omega - 1j * (x.T @ omega @ x)
-    return bool(np.min(np.linalg.eigvalsh(0.5 * (h + h.conj().T))) >= -tol)
+    return bool(np.min(np.linalg.eigvalsh(0.5 * (h + h.conj().T))) >= -1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -219,9 +219,7 @@ class PhiResult:
 def single_mode_phi_t(init: SingleModeParams, bath: BathParams, t: float) -> PhiResult:
     """Evolved squeezing angle φ(t) ∈ (-π/2, π/2] via the two-argument
     arctangent of the evolved off-diagonal/diagonal balance."""
-    t = float(t)
-    if t < 0:
-        raise ValueError("time must be nonnegative")
+    t = float(_times(t))
     k = math.exp(-bath.gamma * t)
     s0 = math.sinh(2.0 * init.r)
     si = math.sinh(2.0 * bath.r_inf)

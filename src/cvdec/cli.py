@@ -243,6 +243,12 @@ def _two_mode_purity(g: _Grid) -> np.ndarray:
     return 1.0 / (4.0 * np.sqrt(inv.det_sigma))
 
 
+def _spectral_two_mode_purity(g: _Grid) -> np.ndarray:
+    # 1/(4 ν₊ν₋), from the spectrum rather than from a determinant
+    nu = ps.symplectic_eigenvalues(g.cm)
+    return 1.0 / (4.0 * nu[..., 0] * nu[..., 1])
+
+
 def _lindblad_purities(g: _Grid, state: Callable[..., nm.TruncatedDensityMatrix],
                        n: int, floor: int) -> np.ndarray:
     """Tr ρ² along one master-equation trajectory from state(init, dim)."""
@@ -303,8 +309,7 @@ _TABLE: dict[tuple[str, str], _Row] = {
         lambda g: _lindblad_purities(g, nm.psi01_state, 1, 32),
         "Lindblad trajectory"),
     ("two-mode", "purity"): _Row(
-        _two_mode_purity, lambda g: ps.purity_gaussian(g.cm),
-        "CM determinant"),
+        _two_mode_purity, _spectral_two_mode_purity, "CM spectrum"),
     ("two-mode", "entropy"): _repeated(
         lambda g: ps.von_neumann_entropy(g.cm)),
     ("two-mode", "tau"): _repeated(

@@ -27,7 +27,7 @@ import numpy as np
 from scipy import special
 from scipy.integrate import quad
 
-from .channels import BathParams, env_cm
+from .channels import BathParams, _times, env_cm
 from .numerics import (
     QuadratureError,
     QuadratureResult,
@@ -118,8 +118,7 @@ class NegativePartResult:
 
 def _cat_pieces(cat: CatState, bath: BathParams, t: float):
     """Shared geometry of the four Gaussian terms of the evolved cat."""
-    if t < 0:
-        raise ValueError("time must be nonnegative")
+    t = float(_times(t))
     k = math.exp(-bath.gamma * t)
     c = math.sqrt(k)
     r_mat = np.diag([math.exp(cat.r0), math.exp(-cat.r0)])
@@ -197,8 +196,7 @@ def fock_char_t(n: int, bath: BathParams, t: float) -> Callable[[np.ndarray], np
     """Evolved characteristic function of |n><n| (batch-evaluable)."""
     if n < 0 or n != int(n):
         raise ValueError("photon number must be a nonnegative integer")
-    if t < 0:
-        raise ValueError("time must be nonnegative")
+    t = float(_times(t))
     k = math.exp(-bath.gamma * t)
     noise = _sigma_inf_char(bath, t)
 
@@ -222,8 +220,7 @@ def fock_purity_t(n: int, bath: BathParams, t: float) -> float:
     """
     if n < 0 or n != int(n):
         raise ValueError("photon number must be a nonnegative integer")
-    if t < 0:
-        raise ValueError("time must be nonnegative")
+    t = float(_times(t))
     if t == 0.0:
         return 1.0
     k = math.exp(-bath.gamma * t)
@@ -254,8 +251,7 @@ def fock_purity_thermal(n: int, mu_inf: float, t: float, gamma: float = 1.0) -> 
         raise ValueError("photon number must be a nonnegative integer")
     if not 0.0 < mu_inf <= 1.0:
         raise ValueError("asymptotic purity must lie in (0, 1]")
-    if t < 0:
-        raise ValueError("time must be nonnegative")
+    t = float(_times(t))
     if t == 0.0:
         return 1.0
     k = math.exp(-gamma * t)
@@ -281,8 +277,7 @@ def fock_wigner_t(n: int, mu_inf: float, t: float, gamma: float = 1.0) -> Wigner
         raise ValueError("photon number must be a nonnegative integer")
     if not 0.0 < mu_inf <= 1.0:
         raise ValueError("asymptotic purity must lie in (0, 1]")
-    if t < 0:
-        raise ValueError("time must be nonnegative")
+    t = float(_times(t))
     k = math.exp(-gamma * t)
     zeta = (1.0 - (1.0 - mu_inf) * k) / mu_inf
     eta = (1.0 - (1.0 + mu_inf) * k) / mu_inf
@@ -321,8 +316,7 @@ def psi01_purity_t(vartheta: float, bath: BathParams, t: float) -> float:
     with α = (x + ip)/√2 and A = (k/2)I + Ωᵀσ∞Ω(1-k); the purity is
     (2π)⁻¹ ∫ |χ|².
     """
-    if t < 0:
-        raise ValueError("time must be nonnegative")
+    t = float(_times(t))
     k = math.exp(-bath.gamma * t)
     a_mat = 0.5 * k * np.eye(2) + _sigma_inf_char(bath, t)
     cov = 0.5 * np.linalg.inv(a_mat)
@@ -340,11 +334,11 @@ def psi01_purity_t(vartheta: float, bath: BathParams, t: float) -> float:
 # negative part
 # ---------------------------------------------------------------------------
 
-def wigner_purity(w: WignerField, n_modes: int = 1, tol: float = 1e-10) -> float:
+def wigner_purity(w: WignerField, tol: float = 1e-10) -> float:
     """(2π)ⁿ ∫ W² by adaptive quadrature — the purity oracle."""
     spec = QuadratureSpec(extents=w.domain, tol=tol)
     res = integrate_phase_space(lambda p: np.asarray(w.eval(p)) ** 2, spec)
-    return (2.0 * np.pi) ** n_modes * res.value
+    return (2.0 * np.pi) ** (len(w.domain) // 2) * res.value
 
 
 def _radial_negative_part(w: WignerField, r_max: float):

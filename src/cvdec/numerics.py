@@ -1,6 +1,5 @@
-"""Numerical backbone: special functions, phase-space quadrature, a
-truncated-Fock master equation stepped by ``expm_multiply``, and
-small-degree polynomial root finding.
+"""Numerical backbone: special functions, phase-space quadrature and a
+truncated-Fock master equation stepped by ``expm_multiply``.
 
 Everything in this module is deliberately independent of the closed-form
 layers (``channels``, ``nongaussian``, ``two_mode``) so that it can serve
@@ -35,7 +34,6 @@ __all__ = [
     "default_truncation",
     "lindblad_evolve",
     "lindblad_purities",
-    "polynomial_real_roots",
 ]
 
 
@@ -114,6 +112,7 @@ _GK15_WK = np.concatenate([_K15_POS[:0:-1], _K15_POS])
 _GK15_WG = np.concatenate([_G7_POS[:0:-1], _G7_POS])
 
 _BATCH = 2 ** 18  # most points passed to the integrand in one call
+_SLAB = 2 ** 20  # most points of one tensor Gauss-Legendre slab
 
 
 def _gk_panels(f, spec: QuadratureSpec) -> QuadratureResult:
@@ -158,7 +157,7 @@ def _gk_panels(f, spec: QuadratureSpec) -> QuadratureResult:
         f"(error estimate {result.error:g})", result)
 
 
-def _tensor_quad(f, extents, order, chunk=2 ** 20):
+def _tensor_quad(f, extents, order):
     """One tensor Gauss-Legendre panel over the box, evaluated in slabs of
     the first axis so that high orders do not hold every point at once."""
     x, w = np.polynomial.legendre.leggauss(order)
@@ -167,7 +166,7 @@ def _tensor_quad(f, extents, order, chunk=2 ** 20):
     half = 0.5 * (hi - lo)
     nodes = (0.5 * (lo + hi))[:, None] + half[:, None] * x
     weights = functools.reduce(np.multiply.outer, [h * w for h in half])
-    rows = max(1, chunk // order ** (d - 1))
+    rows = max(1, _SLAB // order ** (d - 1))
     total = 0.0
     for start in range(0, order, rows):
         axes = [nodes[0, start:start + rows], *nodes[1:]]
@@ -359,37 +358,3 @@ def lindblad_purities(rho0: TruncatedDensityMatrix, gamma: float, N: float,
     """Tr rho^2 sampled along a single trajectory (times must be ascending)."""
     return np.array([float(np.real(np.sum(rho * rho.T)))
                      for rho in _trajectory(rho0, gamma, N, M, list(times))])
-
-
-# ---------------------------------------------------------------------------
-# polynomial roots
-# ---------------------------------------------------------------------------
-
-def polynomial_real_roots(coeffs: Sequence[float]) -> np.ndarray:
-    """Real roots of a low-degree polynomial (coefficients highest first).
-
-    A nearly vanishing leading coefficient degrades the degree instead of
-    poisoning the companion matrix.  Roots are Newton-polished and must pass
-    a residual check |p(root)| < 1e-9 ||coeffs||.
-    """
-    c = np.asarray(coeffs, dtype=float)
-    if c.size == 0 or not np.any(c != 0.0):
-        raise ValueError("all-zero polynomial")
-    scale = np.max(np.abs(c))
-    # trim negligible leading coefficients (degree degradation)
-    nz = np.nonzero(np.abs(c) > 1e-14 * scale)[0]
-    c = c[nz[0]:]
-    if c.size == 1:
-        return np.array([])
-    roots = np.roots(c)
-    dc = np.polyder(c)
-    # a few Newton steps to polish near-real roots
-    for _ in range(3):
-        p = np.polyval(c, roots)
-        dp = np.polyval(dc, roots)
-        safe = np.abs(dp) > 1e-300
-        roots[safe] = roots[safe] - p[safe] / dp[safe]
-    real = roots[np.abs(roots.imag) < 1e-10 * np.maximum(1.0, np.abs(roots))].real
-    residual = np.abs(np.polyval(c, real))
-    real = real[residual < 1e-9 * scale * np.maximum(1.0, np.abs(real)) ** (c.size - 1)]
-    return np.sort(real)

@@ -35,7 +35,6 @@ __all__ = [
     "char_gaussian",
     "random_symplectic",
     "random_physical_cm",
-    "vacuum_cm",
 ]
 
 PHYS_TOL = 1e-12
@@ -80,8 +79,8 @@ def symplectic_eigenvalues(cm) -> np.ndarray:
     return mods[..., ::2].copy()
 
 
-def check_physical(cm, tol: float = PHYS_TOL) -> bool:
-    """True iff σ > 0 and every symplectic eigenvalue is >= 1/2 - tol."""
+def check_physical(cm) -> bool:
+    """True iff σ > 0 and every symplectic eigenvalue is >= 1/2 - PHYS_TOL."""
     m = _as_cm(cm)
     # cheaper than symplectic_eigenvalues on a stack of small matrices:
     # one mode has ν² = Det σ, and the eigenvalues of the real Ωσ are ±iν
@@ -96,7 +95,7 @@ def check_physical(cm, tol: float = PHYS_TOL) -> bool:
         except np.linalg.LinAlgError:
             return False
         nus = np.abs(np.linalg.eigvals(symplectic_form(m.shape[-1] // 2) @ m))
-    return bool(np.min(nus) >= 0.5 - tol)
+    return bool(np.min(nus) >= 0.5 - PHYS_TOL)
 
 
 def require_physical(cm) -> np.ndarray:
@@ -212,10 +211,6 @@ class GaussianState:
     def from_params(cls, p: SingleModeParams,
                     mean=(0.0, 0.0)) -> "GaussianState":
         return cls(np.asarray(mean, dtype=float), cm_from_params(p))
-
-
-def vacuum_cm(n: int = 1) -> np.ndarray:
-    return 0.5 * np.eye(2 * n)
 
 
 def wigner_gaussian(state: GaussianState, point) -> np.ndarray:

@@ -25,7 +25,6 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .channels import ChannelSpec, _exp, _times, evolve_moments
-from .numerics import polynomial_real_roots
 from .phase_space import (
     GaussianState,
     require_physical,
@@ -69,7 +68,7 @@ class StandardForm:
             raise ValueError("local variances must be at least 1/2")
         if abs(self.c2) < abs(self.c1) - 1e-12:
             raise ValueError("canonical ordering requires |c2| >= |c1|")
-        require_physical(standard_form_to_cm(self, validate=False))
+        standard_form_to_cm(self)  # raises unless physical
 
     @property
     def symmetric(self) -> bool:
@@ -115,14 +114,13 @@ class SqueezedThermalParams:
         return StandardForm(a=a, b=a, c1=c, c2=-c)
 
 
-def standard_form_to_cm(sf: StandardForm, validate: bool = True) -> np.ndarray:
-    cm = np.array([
+def standard_form_to_cm(sf: StandardForm) -> np.ndarray:
+    return require_physical(np.array([
         [sf.a, 0.0, sf.c1, 0.0],
         [0.0, sf.a, 0.0, sf.c2],
         [sf.c1, 0.0, sf.b, 0.0],
         [0.0, sf.c2, 0.0, sf.b],
-    ])
-    return require_physical(cm) if validate else cm
+    ]))
 
 
 # The functions below take one 4x4 covariance matrix or a stack
@@ -207,17 +205,14 @@ class CoefficientSet:
     beta: tuple[float, float, float]                 # β₀..β₂
     gamma_2: float
 
-    def det_sigma(self, k):
-        return sum(c * np.asarray(k, dtype=float) ** i for i, c in enumerate(self.sigma))
-
-    def det_alpha(self, k):
-        return sum(c * np.asarray(k, dtype=float) ** i for i, c in enumerate(self.alpha))
-
-    def det_beta(self, k):
-        return sum(c * np.asarray(k, dtype=float) ** i for i, c in enumerate(self.beta))
-
-    def det_gamma(self, k):
-        return self.gamma_2 * np.asarray(k, dtype=float) ** 2
+    def at(self, k) -> TwoModeInvariants:
+        """The invariants at k, or arrays of them over an array of k."""
+        k = np.asarray(k, dtype=float)
+        poly = lambda cs: sum(c * k ** i for i, c in enumerate(cs))[()]
+        return TwoModeInvariants(det_sigma=poly(self.sigma),
+                                 det_alpha=poly(self.alpha),
+                                 det_beta=poly(self.beta),
+                                 det_gamma=(self.gamma_2 * k ** 2)[()])
 
     @property
     def quartic(self) -> tuple[float, float, float, float, float]:
@@ -307,31 +302,18 @@ def coefficient_set(sf: StandardForm, ch: ChannelSpec) -> CoefficientSet:
     )
 
 
-def evolved_invariants(sf0: StandardForm, ch: ChannelSpec, t,
-                       method: str = "auto") -> TwoModeInvariants:
+def evolved_invariants(sf0: StandardForm, ch: ChannelSpec, t) -> TwoModeInvariants:
     """Invariants of the evolved state, by coefficient polynomials when the
     couplings are equal (and bath 1 is in the zero-angle gauge), otherwise by
     direct determinants of the evolved covariance matrix.  An array of times
     gives arrays of invariants."""
-    if method not in ("auto", "coefficients", "direct"):
-        raise ValueError("method must be auto, coefficients or direct")
     t = _times(t)
-    if method != "direct":
-        try:
-            coeff = coefficient_set(sf0, ch)
-        except ValueError:
-            if method == "coefficients":
-                raise
-        else:
-            k = _exp(-ch.baths[0].gamma * t)
-            return TwoModeInvariants(
-                det_sigma=coeff.det_sigma(k)[()],
-                det_alpha=coeff.det_alpha(k)[()],
-                det_beta=coeff.det_beta(k)[()],
-                det_gamma=coeff.det_gamma(k)[()],
-            )
-    state = GaussianState(np.zeros(4), standard_form_to_cm(sf0))
-    return invariants(evolve_moments(state, ch, t).cm)
+    try:
+        coeff = coefficient_set(sf0, ch)
+    except ValueError:
+        state = GaussianState(np.zeros(4), standard_form_to_cm(sf0))
+        return invariants(evolve_moments(state, ch, t).cm)
+    return coeff.at(_exp(-ch.baths[0].gamma * t))
 
 
 # ---------------------------------------------------------------------------
@@ -348,8 +330,9 @@ def entanglement_time(sf0: StandardForm, ch: ChannelSpec) -> float | None:
     if it stays entangled forever.
 
     The crossing ν̃₋(t) = 1/2 is bracketed by multiplying t by 1.7, from the
-    quartic root in k = e^{-γt} closest to one when the couplings are equal
-    and from 1/γ otherwise, and is then found by Brent's method.
+    largest real root in (0, 1] of the quartic in k = e^{-γt} when the
+    couplings are equal and from 1/γ otherwise, and is then found by Brent's
+    method.
     """
     if is_separable(standard_form_to_cm(sf0)):
         raise ValueError("initial state is separable")
@@ -361,12 +344,10 @@ def entanglement_time(sf0: StandardForm, ch: ChannelSpec) -> float | None:
     except ValueError:
         pass
     else:
-        roots = [k for k in polynomial_real_roots(coeff.quartic)
-                 if 0.0 < k <= 1.0 + 1e-12]
-        if roots:
-            k_ent = min(min(roots, key=lambda k: abs(1.0 - k)), 1.0)
-            if k_ent < 1.0 - 1e-15:
-                t_hi = -math.log(k_ent) / gamma
+        roots = [k.real for k in np.roots(coeff.quartic)
+                 if k.imag == 0.0 and 0.0 < k.real <= 1.0]
+        if roots and max(roots) < 1.0 - 1e-15:
+            t_hi = -math.log(max(roots)) / gamma
 
     g = lambda t: _nu_minus_t(sf0, ch, t) - 0.5
     for _ in range(60):

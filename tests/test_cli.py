@@ -256,6 +256,23 @@ class TestEndToEnd:
         for q in ("purity", "logneg"):
             assert max(r[header.index(f"{q}_absdiff")] for r in rows) < 1e-9
 
+    def test_two_mode_purity_oracle_unequal_couplings(self, tmp_path):
+        # direct-determinant path: the oracle must not repeat the same det
+        cfg = _write(tmp_path, "tm.json", {
+            "kind": "two-mode",
+            "initial": {"a": 1.2, "b": 1.0, "c1": 0.5, "c2": -0.7},
+            "baths": [{"gamma": 1.0, "mu_inf": 0.5},
+                      {"gamma": 2.2, "mu_inf": 0.7, "r_inf": 0.4,
+                       "phi_inf": 0.9}],
+            "grid": {"start": 0.0, "stop": 5.0, "points": 40},
+            "quantities": ["purity"],
+        })
+        out = tmp_path / "out.csv"
+        assert cli.main(["run", cfg, "--out", str(out), "--oracle"]) == 0
+        header, rows = _read_csv(out)
+        absdiff = [r[header.index("purity_absdiff")] for r in rows]
+        assert 0.0 < max(absdiff) < 1e-9
+
     def test_fidelity_run(self, tmp_path):
         cfg = _write(tmp_path, "fid.json", {
             "kind": "fidelity",
@@ -375,8 +392,9 @@ def _pointwise(s, t):
                 "logneg": (logneg, logneg)}
     det_sigma = tm.evolved_invariants(sf, s.channel, t).det_sigma
     same = lambda f: (f(cm), f(cm))  # noqa: E731
+    nu_plus, nu_minus = ps.symplectic_eigenvalues(cm)
     return {"purity": (1.0 / (4.0 * math.sqrt(det_sigma)),
-                       ps.purity_gaussian(cm)),
+                       1.0 / (4.0 * nu_plus * nu_minus)),
             "entropy": same(ps.von_neumann_entropy),
             "tau": same(ps.nonclassical_depth_gaussian),
             "logneg": (logneg, max(0.0, -math.log(2.0 * nu))),

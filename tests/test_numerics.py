@@ -206,28 +206,6 @@ class TestLindblad:
         assert end.purity() == pytest.approx(purities[-1], abs=1e-12)
 
 
-class TestRoots:
-    def test_constructed_quartic(self):
-        # (k - 1/2)(k - 2)(k^2 + 1)
-        p = np.polymul(np.polymul([1, -0.5], [1, -2.0]), [1, 0, 1])
-        roots = nm.polynomial_real_roots(list(p))
-        assert np.allclose(roots, [0.5, 2.0], atol=1e-10)
-
-    def test_degree_degradation(self):
-        roots = nm.polynomial_real_roots([0.0, 2.0, -3.0, 1.0])  # 2(k-1)(k-1/2)
-        assert np.allclose(roots, [0.5, 1.0], atol=1e-10)
-
-    def test_complex_pair_filtered(self):
-        p = np.polymul([1, -0.7], [1, 0, 1])  # (k - 0.7)(k^2 + 1)
-        roots = nm.polynomial_real_roots(list(p))
-        assert roots.shape == (1,)
-        assert roots[0] == pytest.approx(0.7, abs=1e-12)
-
-    def test_all_zero_rejected(self):
-        with pytest.raises(ValueError):
-            nm.polynomial_real_roots([0.0, 0.0, 0.0])
-
-
 def test_numerics_imports_no_cvdec_module():
     # the oracles share no code with the closed forms they check
     tree = ast.parse(Path(nm.__file__).read_text(encoding="utf-8"))

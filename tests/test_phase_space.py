@@ -17,7 +17,8 @@ class TestSymplectic:
             assert np.allclose(omega @ omega, -np.eye(2 * n))
 
     def test_vacuum_spectrum(self):
-        assert np.allclose(ps.symplectic_eigenvalues(ps.vacuum_cm(2)), 0.5)
+        vacuum = ps.GaussianState.vacuum(2).cm
+        assert np.allclose(ps.symplectic_eigenvalues(vacuum), 0.5)
 
     def test_thermal_spectrum(self):
         cm = np.diag([1.5, 1.5, 0.5, 0.5])
@@ -43,7 +44,8 @@ class TestSymplectic:
     def test_indefinite_rejected(self, cm):
         # every |eigenvalue| of Ωσ is 1 here, but σ is not positive definite
         assert not ps.check_physical(cm)
-        assert not ps.check_physical(np.stack([ps.vacuum_cm(len(cm) // 2), cm]))
+        vacuum = ps.GaussianState.vacuum(len(cm) // 2).cm
+        assert not ps.check_physical(np.stack([vacuum, cm]))
         with pytest.raises(ValueError):
             ps.GaussianState(np.zeros(len(cm)), cm)
 
@@ -54,8 +56,9 @@ class TestSymplectic:
 
 class TestScalarFunctionals:
     def test_vacuum_is_pure_and_zero_entropy(self):
-        assert ps.purity_gaussian(ps.vacuum_cm()) == pytest.approx(1.0)
-        assert ps.von_neumann_entropy(ps.vacuum_cm()) == pytest.approx(0.0, abs=1e-12)
+        vacuum = ps.GaussianState.vacuum().cm
+        assert ps.purity_gaussian(vacuum) == pytest.approx(1.0)
+        assert ps.von_neumann_entropy(vacuum) == pytest.approx(0.0, abs=1e-12)
 
     def test_thermal_purity_and_entropy(self):
         nu = 1.5  # thermal with N = 1
@@ -132,7 +135,8 @@ class TestPhaseSpaceFunctions:
             math.exp(-1.0), rel=1e-12)
 
     def test_char_phase_carries_displacement(self):
-        state = ps.GaussianState(np.array([1.0, 0.0]), ps.vacuum_cm())
+        state = ps.GaussianState(np.array([1.0, 0.0]),
+                                 ps.GaussianState.vacuum().cm)
         x = np.array([0.5, 0.25])
         base = ps.char_gaussian(ps.GaussianState.vacuum(), x)
         omega = ps.symplectic_form(1)

@@ -105,8 +105,8 @@ class TestCoefficientExpansion:
                        phi_inf=rng.uniform(-1.5, 1.5)),
         ))
         t = rng.uniform(0.0, 3.0)
-        by_coeff = tm.evolved_invariants(sf, ch, t, method="coefficients")
-        direct = tm.evolved_invariants(sf, ch, t, method="direct")
+        by_coeff = tm.coefficient_set(sf, ch).at(math.exp(-0.8 * t))
+        direct = tm.invariants(_evolved_cm(sf, ch, t))
         for name in ("det_sigma", "det_alpha", "det_beta", "det_gamma"):
             assert getattr(by_coeff, name) == pytest.approx(
                 getattr(direct, name), rel=1e-9, abs=1e-12)
@@ -116,9 +116,9 @@ class TestCoefficientExpansion:
         ch = ChannelSpec((BathParams(gamma=1.0, mu_inf=0.5),
                           BathParams(gamma=2.0, mu_inf=0.5)))
         with pytest.raises(ValueError):
-            tm.evolved_invariants(sf, ch, 0.5, method="coefficients")
-        inv = tm.evolved_invariants(sf, ch, 0.5, method="auto")
-        direct = tm.evolved_invariants(sf, ch, 0.5, method="direct")
+            tm.coefficient_set(sf, ch)
+        inv = tm.evolved_invariants(sf, ch, 0.5)
+        direct = tm.invariants(_evolved_cm(sf, ch, 0.5))
         assert inv.det_sigma == pytest.approx(direct.det_sigma, rel=1e-12)
 
     def test_nonzero_first_bath_angle_rejected(self):
@@ -132,13 +132,23 @@ class TestCoefficientExpansion:
 
 class TestEntanglementTime:
     def test_quartic_against_direct_crossing(self):
-        sf = tm.SqueezedThermalParams(mu=0.7, r=0.9).standard_form
-        ch = _thermal_pair(mu1=0.6, mu2=0.4)
-        t_ent = tm.entanglement_time(sf, ch)
-        assert t_ent is not None
-        eps = 1e-6
-        assert not tm.is_separable(_evolved_cm(sf, ch, t_ent - eps))
-        assert tm.is_separable(_evolved_cm(sf, ch, t_ent + eps), tol=1e-9)
+        for params, baths in [
+            (tm.SqueezedThermalParams(0.7, 0.9),
+             (BathParams(1.0, 0.6), BathParams(1.0, 0.4))),
+            # squeezed baths, the second at a nonzero angle
+            (tm.SqueezedThermalParams(0.7, 0.9),
+             (BathParams(1.0, 0.5, 0.3, 0.0), BathParams(1.0, 0.6, 0.2, 0.7))),
+            (tm.SqueezedThermalParams(0.9, 0.5),
+             (BathParams(0.7, 0.4, 0.5, 0.0), BathParams(0.7, 0.4, 0.5, 1.2))),
+        ]:
+            sf = params.standard_form
+            ch = ChannelSpec(baths)
+            tm.coefficient_set(sf, ch)  # the quartic seeds the bracket
+            t_ent = tm.entanglement_time(sf, ch)
+            assert t_ent is not None
+            eps = 1e-6
+            assert not tm.is_separable(_evolved_cm(sf, ch, t_ent - eps))
+            assert tm.is_separable(_evolved_cm(sf, ch, t_ent + eps), tol=1e-9)
 
     @pytest.mark.parametrize("baths", [
         # unequal couplings: the walk starts at 1/gamma
