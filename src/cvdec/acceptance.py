@@ -26,7 +26,7 @@ __all__ = ["CRITERIA", "run_criterion", "run_all"]
 def _min_wigner_fock(n: int, mu_inf: float, t: float) -> float:
     w = ng.fock_wigner_t(n, mu_inf, t)
     rho = np.linspace(0.0, max(hi for _, hi in w.domain), 4001)
-    return float(np.min(w.radial(rho)))
+    return float(np.min(w.eval(np.stack([rho, np.zeros_like(rho)], axis=-1))))
 
 
 def _min_wigner_cat(cat: ng.CatState, bath: ch.BathParams, t: float) -> float:
@@ -49,8 +49,8 @@ def criterion_1() -> tuple[bool, str]:
         lambda t: _min_wigner_cat(cat, bath, t), 0.01, 2.0, xtol=1e-6)
     # the crossing instants are exactly where xi(t) reaches zero: xi > 0
     # iff the Wigner minimum is negative
-    xi_before = ng.negative_part(ng.fock_wigner_t(2, 0.5, 0.9 * t_ref)).xi
-    xi_after = ng.negative_part(ng.fock_wigner_t(2, 0.5, 1.1 * t_ref)).xi
+    xi_before = float(ng.fock_xi_t(2, 0.5, 0.9 * t_ref))
+    xi_after = float(ng.fock_xi_t(2, 0.5, 1.1 * t_ref))
     worst = max(abs(v - t_ref) for v in crossings.values())
     ok = worst <= 0.02 and xi_before > 1e-4 and xi_after < 1e-9
     return ok, (f"max |crossing - ln(1.5)| = {worst:.2e} (allowed 0.02); "

@@ -219,8 +219,8 @@ class _Row:
 
 
 def _each(f: Callable[[_Grid, float], float]) -> _Column:
-    """A column computed point by point: quadratures, and closed forms
-    written for one t."""
+    """A column computed point by point: quadratures, and the |0>/|1>
+    purity written for one t."""
     return lambda g: np.array([f(g, float(t)) for t in g.t])
 
 
@@ -257,16 +257,9 @@ def _lindblad_purities(g: _Grid, state: Callable[..., nm.TruncatedDensityMatrix]
     return nm.lindblad_purities(state(g.init, dim), g.bath.gamma, N, M, g.t)
 
 
-def _fock_xi(g: _Grid, t: float) -> float:
-    return ng.negative_part(
-        ng.fock_wigner_t(g.init, g.bath.mu_inf, t, g.bath.gamma)).xi
-
-
 def _fock_xi_box(g: _Grid, t: float) -> float:
-    # full 2-D quadrature instead of the radial reduction
     w = ng.fock_wigner_t(g.init, g.bath.mu_inf, t, g.bath.gamma)
-    return ng.negative_part(ng.WignerField(eval=w.eval, domain=w.domain),
-                            tol=1e-8).xi
+    return ng.negative_part(w, tol=1e-8).xi
 
 
 def _cat_xi(g: _Grid, t: float) -> float:
@@ -294,7 +287,7 @@ _TABLE: dict[tuple[str, str], _Row] = {
         lambda g: ps.nonclassical_depth_gaussian(g.cm), "CM eigenvalues"),
     ("single-gaussian", "xi"): _repeated(lambda g: np.zeros_like(g.t)),
     ("cat", "purity"): _Row(
-        _each(lambda g, t: ng.cat_purity_t(g.init, g.bath, t)),
+        lambda g: ng.cat_purity_t(g.init, g.bath, g.t),
         _each(_cat_box_purity), "box quadrature"),
     ("cat", "xi"): _repeated(_each(_cat_xi)),
     ("fock", "purity"): _Row(
@@ -302,8 +295,9 @@ _TABLE: dict[tuple[str, str], _Row] = {
         lambda g: _lindblad_purities(g, nm.fock_state, g.init,
                                      2 * g.init + 24),
         "Lindblad trajectory"),
-    ("fock", "xi"): _Row(_each(_fock_xi), _each(_fock_xi_box),
-                         "box quadrature"),
+    ("fock", "xi"): _Row(
+        lambda g: ng.fock_xi_t(g.init, g.bath.mu_inf, g.t, g.bath.gamma),
+        _each(_fock_xi_box), "box quadrature"),
     ("psi01", "purity"): _Row(
         _each(lambda g, t: ng.psi01_purity_t(g.init, g.bath, t)),
         lambda g: _lindblad_purities(g, nm.psi01_state, 1, 32),

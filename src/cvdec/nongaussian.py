@@ -1,6 +1,7 @@
 """Decoherence of non-Gaussian states: Schrödinger cats, Fock states and the
 |0>/|1> superposition, with Wigner-function evolution and the negative-part
-indicator.
+indicator.  The cat purity and the thermal-bath Fock ξ are closed forms over
+arrays of times; ``negative_part`` and ``wigner_purity`` are box quadratures.
 
 All closed forms here follow the quadrature-normalized convention of
 :mod:`cvdec.phase_space`.  Two bookkeeping points worth spelling out:
@@ -9,6 +10,8 @@ All closed forms here follow the quadrature-normalized convention of
   diag(e^{r₀}, e^{-r₀}); the branch overlap is exp(-‖X₀‖²), which is what
   makes the four-term Wigner function integrate to one (the quadratic
   exponent sometimes quoted for the overlap does not).
+* The Fock negative part ξ = ∫|W| - 1 is a sum of incomplete gamma
+  functions between the sign changes of W, which sit at the nodes of Lₙ.
 * The Fock characteristic function is χ_n(X) = e^{-‖X‖²/4} L_n(‖X‖²/2);
   this is the unique scaling with χ(0) = 1 and unit purity at t = 0.
   The evolved χ acquires the factor exp(-Xᵀ Ωᵀσ∞(t)Ω X / 2): in
@@ -47,6 +50,7 @@ __all__ = [
     "fock_purity_t",
     "fock_purity_thermal",
     "fock_wigner_t",
+    "fock_xi_t",
     "psi01_purity_t",
     "negative_part",
     "wigner_purity",
@@ -80,15 +84,10 @@ class CatState:
 
 @dataclass(frozen=True)
 class WignerField:
-    """Evaluable Wigner function plus its integration box.
-
-    ``radial`` is an optional fast path W(ρ) for rotationally symmetric
-    fields (used by the negative-part quadrature).
-    """
+    """Evaluable Wigner function plus its integration box."""
 
     eval: Callable[[np.ndarray], np.ndarray]
     domain: tuple[tuple[float, float], ...]
-    radial: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         for lo, hi in self.domain:
@@ -97,7 +96,7 @@ class WignerField:
 
     def expanded(self, factor: float) -> "WignerField":
         dom = tuple((lo * factor, hi * factor) for lo, hi in self.domain)
-        return WignerField(self.eval, dom, self.radial)
+        return WignerField(self.eval, dom)
 
 
 @dataclass(frozen=True)
@@ -116,18 +115,17 @@ class NegativePartResult:
 # cat states
 # ---------------------------------------------------------------------------
 
-def _cat_pieces(cat: CatState, bath: BathParams, t: float):
-    """Shared geometry of the four Gaussian terms of the evolved cat."""
-    t = float(_times(t))
-    k = math.exp(-bath.gamma * t)
-    c = math.sqrt(k)
+def _cat_pieces(cat: CatState, bath: BathParams, t):
+    """Shared geometry of the four Gaussian terms of the evolved cat: a
+    (..., 2, 2) covariance stack and (..., 4, 2) centers over the times t."""
+    k = np.exp(-bath.gamma * _times(t))[..., None, None]
     r_mat = np.diag([math.exp(cat.r0), math.exp(-cat.r0)])
-    sigma0 = 0.5 * r_mat @ r_mat
-    sigma_t = k * sigma0 + (1.0 - k) * env_cm(bath)
-    y = c * r_mat @ cat.x0          # real peak centers ±y
-    z = c * r_mat @ (_OMEGA @ cat.x0)  # interference centers ∓iz
+    sigma_t = k * (0.5 * r_mat @ r_mat) + (1.0 - k) * env_cm(bath)
+    c = np.sqrt(k[..., 0])
+    y = c * (r_mat @ cat.x0)             # real peak centers ±y
+    z = c * (r_mat @ (_OMEGA @ cat.x0))  # interference centers ∓iz
     e = math.exp(-float(cat.x0 @ cat.x0))
-    centers = np.array([y, -y, -1j * z, 1j * z])
+    centers = np.stack([y, -y, -1j * z, 1j * z], axis=-2)
     weights = np.array([1.0, 1.0,
                         e * np.exp(1j * cat.theta),
                         e * np.exp(-1j * cat.theta)])
@@ -136,41 +134,49 @@ def _cat_pieces(cat: CatState, bath: BathParams, t: float):
 
 def cat_wigner_t(cat: CatState, bath: BathParams, t: float) -> WignerField:
     """Evolved cat Wigner function: two Gaussian peaks plus the conjugate
-    interference pair, normalized to unit integral."""
-    sigma_t, centers, weights, e = _cat_pieces(cat, bath, t)
-    inv = np.linalg.inv(sigma_t)
-    det = np.linalg.det(sigma_t)
-    norm = 4.0 * np.pi * (1.0 + math.cos(cat.theta) * e) * math.sqrt(det)
+    interference pair, normalized to unit integral.  With A = σ_t⁻¹ and
+    q = xᵀAx the terms are e^{-(q ∓ 2yᵀAx + yᵀAy)/2} and
+    2 e^{-‖X₀‖² + zᵀAz/2 - q/2} cos(θ - zᵀAx), each exponent formed in full:
+    e^{-q/2} cosh(yᵀAx) is 0·∞ = NaN far out when ‖X₀‖ is large."""
+    sigma_t, centers, _, e = _cat_pieces(cat, bath, t)
+    a = np.linalg.inv(sigma_t)
+    y, z = centers[0].real, centers[3].imag
+    ay, az = a @ y, a @ z
+    yay, zaz = float(y @ ay), float(z @ az)
+    log_e = -float(cat.x0 @ cat.x0)
+    norm = (4.0 * np.pi * (1.0 + math.cos(cat.theta) * e)
+            * math.sqrt(np.linalg.det(sigma_t)))
 
     def evaluate(pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        total = np.zeros(pts.shape[0], dtype=complex)
-        for center, w in zip(centers, weights):
-            d = pts - center[None, :]
-            quad_form = np.einsum("ij,jk,ik->i", d, inv, d)
-            total += w * np.exp(-0.5 * quad_form)
-        return total.real / norm
+        q = np.einsum("ij,ij->i", pts @ a, pts)
+        ly, lz = pts @ ay, pts @ az
+        return (np.exp(-0.5 * (q - 2.0 * ly + yay))
+                + np.exp(-0.5 * (q + 2.0 * ly + yay))
+                + 2.0 * np.exp(log_e + 0.5 * (zaz - q))
+                * np.cos(cat.theta - lz)) / norm
 
     stds = np.sqrt(np.diag(sigma_t))
-    half = np.abs(centers[0].real) + np.abs(centers[2].imag) + 6.0 * np.max(stds)
+    half = np.abs(y) + np.abs(z) + 6.0 * np.max(stds)
     domain = tuple((-h, h) for h in half)
     return WignerField(eval=evaluate, domain=domain)
 
 
-def cat_purity_t(cat: CatState, bath: BathParams, t: float) -> float:
-    """Purity of the evolved cat by exact Gaussian integration of (2π)∫W²."""
+def cat_purity_t(cat: CatState, bath: BathParams, t):
+    """Purity of the evolved cat by exact Gaussian integration of (2π)∫W²,
+    over an array of times."""
     sigma_t, centers, weights, e = _cat_pieces(cat, bath, t)
-    inv = np.linalg.inv(sigma_t)
-    det = np.linalg.det(sigma_t)
-    total = 0.0 + 0.0j
-    for ci, wi in zip(centers, weights):
-        for cj, wj in zip(centers, weights):
-            d = ci - cj
-            total += wi * wj * np.exp(-0.25 * (d @ inv @ d))
-    value = total / (8.0 * (1.0 + math.cos(cat.theta) * e) ** 2 * math.sqrt(det))
-    if not abs(value.imag) < 1e-10:
-        raise ArithmeticError(f"cat purity has imaginary part {value.imag:.2e}")
-    return float(value.real)
+    d = centers[..., :, None, :] - centers[..., None, :, :]  # (..., 4, 4, 2)
+    inv = np.linalg.inv(sigma_t)[..., None, :, :]
+    form = np.einsum("...k,...k->...", d @ inv, d)
+    total = np.sum(weights[:, None] * weights * np.exp(-0.25 * form),
+                   axis=(-2, -1))
+    value = total / (8.0 * (1.0 + math.cos(cat.theta) * e) ** 2
+                     * np.sqrt(np.linalg.det(sigma_t)))
+    worst = np.max(np.abs(value.imag))
+    if not worst < 1e-10:
+        raise ArithmeticError(f"cat purity has imaginary part {worst:.2e}")
+    return value.real[()]
 
 
 def cat_tdec_estimate(cat: CatState, gamma: float) -> float:
@@ -185,6 +191,13 @@ def cat_tdec_estimate(cat: CatState, gamma: float) -> float:
 # Fock states
 # ---------------------------------------------------------------------------
 
+def _check_fock(n: int, mu_inf: float = 1.0):
+    if n < 0 or n != int(n):
+        raise ValueError("photon number must be a nonnegative integer")
+    if not 0.0 < mu_inf <= 1.0:
+        raise ValueError("asymptotic purity must lie in (0, 1]")
+
+
 def _sigma_inf_char(bath: BathParams, t: float) -> np.ndarray:
     """Additive noise matrix as it enters the characteristic function:
     Ωᵀ σ∞ Ω (1 - e^{-γt})."""
@@ -194,8 +207,7 @@ def _sigma_inf_char(bath: BathParams, t: float) -> np.ndarray:
 
 def fock_char_t(n: int, bath: BathParams, t: float) -> Callable[[np.ndarray], np.ndarray]:
     """Evolved characteristic function of |n><n| (batch-evaluable)."""
-    if n < 0 or n != int(n):
-        raise ValueError("photon number must be a nonnegative integer")
+    _check_fock(n)
     t = float(_times(t))
     k = math.exp(-bath.gamma * t)
     noise = _sigma_inf_char(bath, t)
@@ -203,7 +215,7 @@ def fock_char_t(n: int, bath: BathParams, t: float) -> Callable[[np.ndarray], np
     def evaluate(pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         s2 = np.einsum("ij,ij->i", pts, pts)
-        quad_form = np.einsum("ij,jk,ik->i", pts, noise, pts)
+        quad_form = np.einsum("ij,ij->i", pts @ noise, pts)
         return (np.exp(-0.25 * k * s2 - 0.5 * quad_form)
                 * special.eval_laguerre(n, 0.5 * k * s2))
 
@@ -218,8 +230,7 @@ def fock_purity_t(n: int, bath: BathParams, t: float) -> float:
     since ξ̃ - β ≥ 1 + (1/k - 1) e^{-2r∞}/μ∞ > 1 the integral always
     converges.
     """
-    if n < 0 or n != int(n):
-        raise ValueError("photon number must be a nonnegative integer")
+    _check_fock(n)
     t = float(_times(t))
     if t == 0.0:
         return 1.0
@@ -247,10 +258,7 @@ def fock_purity_thermal(n: int, mu_inf: float, t: float, gamma: float = 1.0) -> 
     e_n = (ξ̃-2)^n P_n(1 + 2/(ξ̃² - 2ξ̃)) computed by a recurrence that stays
     finite through ξ̃ = 2 (where the Legendre argument diverges).
     """
-    if n < 0 or n != int(n):
-        raise ValueError("photon number must be a nonnegative integer")
-    if not 0.0 < mu_inf <= 1.0:
-        raise ValueError("asymptotic purity must lie in (0, 1]")
+    _check_fock(n, mu_inf)
     t = float(_times(t))
     if t == 0.0:
         return 1.0
@@ -261,22 +269,16 @@ def fock_purity_thermal(n: int, mu_inf: float, t: float, gamma: float = 1.0) -> 
     qc = 2.0 * (1.0 - xi) ** 2 / xi - (xi - 2.0)
     c2 = (xi - 2.0) ** 2
     e_prev, e = 1.0, qc
-    if n == 0:
-        e = e_prev
-    else:
-        for m in range(1, n):
-            e, e_prev = ((2 * m + 1) * qc * e - m * c2 * e_prev) / (m + 1), e
-    return e / (k * xi ** (n + 1))
+    for m in range(1, n):
+        e, e_prev = ((2 * m + 1) * qc * e - m * c2 * e_prev) / (m + 1), e
+    return (e if n else 1.0) / (k * xi ** (n + 1))
 
 
 def fock_wigner_t(n: int, mu_inf: float, t: float, gamma: float = 1.0) -> WignerField:
     """Evolved Wigner function of |n><n| in a thermal bath (radial closed
     form, written as an explicit polynomial so it stays finite where the
     Laguerre argument blows up)."""
-    if n < 0 or n != int(n):
-        raise ValueError("photon number must be a nonnegative integer")
-    if not 0.0 < mu_inf <= 1.0:
-        raise ValueError("asymptotic purity must lie in (0, 1]")
+    _check_fock(n, mu_inf)
     t = float(_times(t))
     k = math.exp(-gamma * t)
     zeta = (1.0 - (1.0 - mu_inf) * k) / mu_inf
@@ -287,21 +289,41 @@ def fock_wigner_t(n: int, mu_inf: float, t: float, gamma: float = 1.0) -> Wigner
         for m in range(n + 1)
     ])
 
-    def radial(rho):
-        rho = np.asarray(rho, dtype=float)
+    def evaluate(pts: np.ndarray) -> np.ndarray:
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        rho = np.sqrt(np.einsum("ij,ij->i", pts, pts))
         s2 = rho * rho
         poly = np.zeros_like(s2)
         for m in range(n, -1, -1):
             poly = poly * s2 + coeffs[m]
         return poly * np.exp(-s2 / zeta) / (np.pi * zeta ** (n + 1))
 
-    def evaluate(pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return radial(np.sqrt(np.einsum("ij,ij->i", pts, pts)))
-
     half = math.sqrt(zeta) * (math.sqrt(2.0 * n + 1.0) + 7.0)
-    return WignerField(eval=evaluate, domain=((-half, half), (-half, half)),
-                       radial=radial)
+    return WignerField(eval=evaluate, domain=((-half, half), (-half, half)))
+
+
+def fock_xi_t(n: int, mu_inf: float, t, gamma: float = 1.0):
+    """Negative part ξ = ∫|W| - 1 of |n><n| in a thermal bath, over an
+    array of times.  With k, ζ, η of :func:`fock_wigner_t` and v = ρ²/ζ, the
+    radial mass density of W is Q(v) e^{-v}, Q(v) = Σₘ aₘ vᵐ/m! with
+    aₘ = C(n,m) (2k/ζ)ᵐ (η/ζ)ⁿ⁻ᵐ, i.e. (η/ζ)ⁿ Lₙ(-2kv/η).  Q changes sign
+    only while η < 0 (t < t_nc), at v_j = -η x_j/(2k), x_j the nodes of Lₙ;
+    between edges 0, v_j, ∞, ∫|W| is |Σₘ aₘ ΔP(m+1, ·)| with P = gammainc.
+    """
+    _check_fock(n, mu_inf)
+    t = _times(t)
+    if n == 0:
+        return np.zeros_like(t)[()]
+    k = np.exp(-gamma * t)[..., None]
+    zeta = (1.0 - (1.0 - mu_inf) * k) / mu_inf
+    eta = (1.0 - (1.0 + mu_inf) * k) / mu_inf
+    m = np.arange(n + 1)
+    a = special.comb(n, m) * (2.0 * k / zeta) ** m * (eta / zeta) ** (n - m)
+    nodes = np.maximum(-eta / (2.0 * k), 0.0) * special.roots_laguerre(n)[0]
+    p = special.gammainc(m + 1, nodes[..., None])  # (..., node, m)
+    dp = np.diff(p, axis=-2, prepend=0.0, append=1.0)
+    total = np.sum(np.abs(np.sum(a[..., None, :] * dp, axis=-1)), axis=-1)
+    return np.where(eta[..., 0] < 0.0, np.maximum(total - 1.0, 0.0), 0.0)[()]
 
 
 # ---------------------------------------------------------------------------
@@ -341,18 +363,6 @@ def wigner_purity(w: WignerField, tol: float = 1e-10) -> float:
     return (2.0 * np.pi) ** (len(w.domain) // 2) * res.value
 
 
-def _radial_negative_part(w: WignerField, r_max: float):
-    def absw(rho):
-        return 2.0 * np.pi * rho * np.abs(w.radial(rho))
-
-    def signed(rho):
-        return 2.0 * np.pi * rho * w.radial(rho)
-
-    total, err1 = quad(absw, 0.0, r_max, limit=300, epsabs=1e-12, epsrel=1e-11)
-    mass, err2 = quad(signed, 0.0, r_max, limit=300, epsabs=1e-12, epsrel=1e-11)
-    return total, mass, err1 + err2
-
-
 def _box_negative_part(w: WignerField, tol: float, max_refinements: int = 20):
     # |W| has gradient kinks along the nodal curves; the adaptive panels
     # crowd onto them, and at t = 0 the |W| of |1>..|4> needs 13-15
@@ -373,11 +383,7 @@ def negative_part(w: WignerField, tol: float = 1e-9) -> NegativePartResult:
     field = w
     mass = math.nan
     for _ in range(4):
-        if field.radial is not None:
-            r_max = max(hi for _, hi in field.domain)
-            total, mass, err = _radial_negative_part(field, r_max)
-        else:
-            total, mass, err = _box_negative_part(field, tol)
+        total, mass, err = _box_negative_part(field, tol)
         if abs(mass - 1.0) <= 1e-8 + err:
             xi = total - 1.0
             return NegativePartResult(xi=max(xi, 0.0), est_error=err)

@@ -238,7 +238,7 @@ def char_gaussian(state: GaussianState, point) -> np.ndarray:
     x = np.atleast_2d(x)
     omega = symplectic_form(state.n_modes)
     ox = x @ omega.T  # each row is ΩX
-    quad = np.einsum("ij,jk,ik->i", ox, state.cm, ox)
+    quad = np.einsum("ij,ij->i", ox @ state.cm, ox)
     phase = x @ (omega @ state.mean)
     out = np.exp(-0.5 * quad + 1j * phase)
     return out[0] if scalar else out

@@ -372,12 +372,11 @@ def _pointwise(s, t):
         n = init["n"]
         dim = max(nm.default_truncation(N + abs(M), n), 2 * n + 24)
         w = ng.fock_wigner_t(n, bath.mu_inf, t, bath.gamma)
-        box = ng.WignerField(eval=w.eval, domain=w.domain)
         return {"purity": (ng.fock_purity_t(n, bath, t),
                            nm.lindblad_evolve(nm.fock_state(n, dim), bath.gamma,
                                               N, M, t).purity()),
-                "xi": (ng.negative_part(w).xi,
-                       ng.negative_part(box, tol=1e-8).xi)}
+                "xi": (ng.fock_xi_t(n, bath.mu_inf, t, bath.gamma),
+                       ng.negative_part(w, tol=1e-8).xi)}
     params = tm.SqueezedThermalParams(init["mu"], init["r"])
     sf = params.standard_form
     cm = ch.evolve_moments(ps.GaussianState(np.zeros(4),

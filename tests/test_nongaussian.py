@@ -71,6 +71,48 @@ class TestCatStates:
         with pytest.raises(ValueError):
             ng.cat_tdec_estimate(ng.CatState(x0=(0.0, 0.0), theta=0.0), 1.0)
 
+    @pytest.mark.parametrize("bath", [THERMAL, SQUEEZED])
+    @pytest.mark.parametrize("t", [0.0, 0.3])
+    @pytest.mark.parametrize("r0", [0.0, 0.5])
+    @pytest.mark.parametrize("theta", [0.0, math.pi / 2])
+    def test_wigner_matches_complex_four_term_sum(self, bath, t, r0, theta):
+        # the reference is the complex form: Gaussians at ±y and ∓iz with
+        # weights 1, 1, e^{-|X0|^2 ± i theta}, each exp(-(x-c)^T A (x-c)/2)
+        cat = ng.CatState(x0=(1.3, -0.6), r0=r0, theta=theta)
+        w = ng.cat_wigner_t(cat, bath, t)
+        sigma_t, centers, weights, e = ng._cat_pieces(cat, bath, t)
+        inv = np.linalg.inv(sigma_t)
+        rng = np.random.default_rng(7)
+        pts = rng.uniform([lo for lo, _ in w.domain],
+                          [hi for _, hi in w.domain], size=(400, 2))
+        terms = []
+        for c, wt in zip(centers, weights):
+            d = pts - c
+            terms.append(wt * np.exp(-0.5 * np.sum((d @ inv) * d, axis=1)))
+        norm = (4.0 * math.pi * (1.0 + math.cos(theta) * e)
+                * math.sqrt(np.linalg.det(sigma_t)))
+        want = sum(terms).real / norm
+        scale = sum(np.abs(term) for term in terms) / norm
+        assert np.all(np.abs(w.eval(pts) - want) <= 1e-12 * scale)
+
+    @pytest.mark.parametrize("t", [0.01, 0.1])
+    def test_wigner_finite_and_normalized_far_out(self, t):
+        # ||X0|| = 30: e^{-|X0|^2} underflows and e^{z^T A z / 2} overflows
+        # unless the interference exponent is formed in full
+        w = ng.cat_wigner_t(ng.CatState(x0=(30.0, 0.0)), THERMAL, t)
+        axes = [np.linspace(lo, hi, 201) for lo, hi in w.domain]
+        grid = np.stack([a.ravel() for a in np.meshgrid(*axes)], axis=-1)
+        assert np.all(np.isfinite(w.eval(grid)))
+        assert _wigner_mass(w) == pytest.approx(1.0, abs=1e-8)
+
+    def test_purity_array_matches_scalar_calls(self):
+        cat = ng.CatState(x0=(2.0, 0.0), r0=0.3, theta=0.4)
+        times = np.linspace(0.0, 2.0, 9)
+        values = ng.cat_purity_t(cat, SQUEEZED, times)
+        assert values.shape == times.shape
+        assert list(values) == [ng.cat_purity_t(cat, SQUEEZED, t)
+                                for t in times]
+
     def test_negative_part_decreases(self):
         cat = ng.CatState(x0=(1.5, 0.0))
         xs = [ng.negative_part(ng.cat_wigner_t(cat, THERMAL, t), tol=1e-6).xi
@@ -119,12 +161,14 @@ class TestFockStates:
     def test_wigner_origin_sign_flip_at_tnc(self, n):
         mu_inf = 0.5
         t_nc = math.log(1.0 + mu_inf)
-        before = float(ng.fock_wigner_t(n, mu_inf, 0.9 * t_nc).radial(np.array([0.0]))[0])
-        after = float(ng.fock_wigner_t(n, mu_inf, 1.1 * t_nc).radial(np.array([0.0]))[0])
-        at = float(ng.fock_wigner_t(n, mu_inf, t_nc).radial(np.array([0.0]))[0])
+        origin = np.zeros((1, 2))
+        before, at, after = (float(ng.fock_wigner_t(n, mu_inf, f * t_nc)
+                                   .eval(origin)[0]) for f in (0.9, 1.0, 1.1))
         assert (-1.0) ** n * before > 0.0
         assert after > 0.0
         assert abs(at) < 1e-12
+        xi = ng.fock_xi_t(n, mu_inf, np.array([0.9, 1.0, 1.1]) * t_nc)
+        assert xi[0] > 0.0 and xi[1] == xi[2] == 0.0
 
     def test_char_at_origin(self):
         f = ng.fock_char_t(2, SQUEEZED, 0.8)
@@ -176,31 +220,87 @@ class TestPsi01:
             assert ng.psi01_purity_t(float(v), bath, 0.5) <= best + 1e-12
 
 
+def _fock_xi_mpmath(n, mu_inf, t, gamma=1.0):
+    """40-digit ξ of |n> in a thermal bath: ∫|Q(v)| e^{-v} dv - 1 with Q
+    split at its positive roots (see ``fock_xi_t`` for Q)."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        k = mp.exp(-gamma * mp.mpf(t))
+        mu = mp.mpf(mu_inf)
+        zeta = (1 - (1 - mu) * k) / mu
+        eta = (1 - (1 + mu) * k) / mu
+        c = [mp.binomial(n, m) * (2 * k / zeta) ** m * (eta / zeta) ** (n - m)
+             / mp.factorial(m) for m in range(n + 1)]
+        roots = mp.polyroots(c[::-1], maxsteps=200, extraprec=200)
+        edges = ([mp.mpf(0)]
+                 + sorted(mp.re(r) for r in roots
+                          if abs(mp.im(r)) < 1e-30 and mp.re(r) > 0)
+                 + [mp.inf])
+        total = sum(abs(mp.quad(lambda v: mp.polyval(c[::-1], v) * mp.exp(-v),
+                                [lo, hi]))
+                    for lo, hi in zip(edges, edges[1:]))
+        return float(max(total - 1, 0))
+
+
+class TestFockXiClosedForm:
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 10])
+    @pytest.mark.parametrize("t", [0.0, 0.05, 0.2, 0.38])
+    def test_matches_mpmath(self, n, t):
+        # t_nc = ln 1.5 = 0.405 at mu_inf = 0.5
+        tol = 1e-13 if n <= 5 else 1e-11
+        assert float(ng.fock_xi_t(n, 0.5, t)) == pytest.approx(
+            _fock_xi_mpmath(n, 0.5, t), abs=tol)
+
+    def test_matches_mpmath_where_radial_quad_missed(self):
+        # second point of a 100-point grid on [0, 2/gamma], t = 0.0122759;
+        # the adaptive radial quadrature missed this value by 3.1e-7
+        gamma = 1.645661928464921
+        t = 2.0 / gamma / 99
+        assert float(ng.fock_xi_t(3, 0.7, t, gamma)) == pytest.approx(
+            _fock_xi_mpmath(3, 0.7, t, gamma), abs=1e-13)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 5])
+    def test_zero_from_tnc_on(self, n):
+        t_nc = math.log(1.5)
+        xi = ng.fock_xi_t(n, 0.5, t_nc * np.array([1.0, 1.05, 2.0, 40.0]))
+        assert np.all(xi == 0.0)
+
+    def test_array_matches_scalar_calls(self):
+        times = np.linspace(0.0, 2.0, 41)
+        values = ng.fock_xi_t(3, 0.7, times, 1.3)
+        assert values.shape == times.shape
+        assert list(values) == [ng.fock_xi_t(3, 0.7, t, 1.3) for t in times]
+
+    def test_invalid_inputs(self):
+        with pytest.raises(ValueError):
+            ng.fock_xi_t(2, 0.5, [0.1, -0.1])
+        with pytest.raises(ValueError):
+            ng.fock_xi_t(-1, 0.5, 0.1)
+        with pytest.raises(ValueError):
+            ng.fock_xi_t(1, 1.5, 0.1)
+
+
 class TestNegativePart:
     def test_gaussian_has_no_negative_part(self):
-        w = ng.fock_wigner_t(0, 0.5, 0.3)
-        res = ng.negative_part(w)
+        assert ng.fock_xi_t(0, 0.5, 0.3) == 0.0
+        res = ng.negative_part(ng.fock_wigner_t(0, 0.5, 0.3))
         assert res.xi == pytest.approx(0.0, abs=1e-8)
 
     def test_fock1_initial_value(self):
         # for |1> at t=0: int |W| = int_0^inf |2s-1| e^{-s} ds = 4 e^{-1/2} - 1
-        w = ng.fock_wigner_t(1, 0.5, 0.0)
-        res = ng.negative_part(w)
         expected = 4.0 * math.exp(-0.5) - 2.0  # xi = int |W| - 1
-        assert res.xi == pytest.approx(expected, abs=1e-8)
+        assert ng.fock_xi_t(1, 0.5, 0.0) == pytest.approx(expected, abs=1e-15)
 
     def test_vanishes_after_tnc(self):
         mu_inf = 0.5
         t_nc = math.log(1.0 + mu_inf)
-        assert ng.negative_part(ng.fock_wigner_t(2, mu_inf, 1.05 * t_nc)).xi == \
-            pytest.approx(0.0, abs=1e-8)
-        assert ng.negative_part(ng.fock_wigner_t(2, mu_inf, 0.8 * t_nc)).xi > 1e-4
+        assert ng.fock_xi_t(2, mu_inf, 1.05 * t_nc) == 0.0
+        assert ng.fock_xi_t(2, mu_inf, 0.8 * t_nc) > 1e-4
 
-    def test_box_path_agrees_with_radial(self):
+    def test_box_path_agrees_with_closed_form(self):
         w = ng.fock_wigner_t(1, 0.5, 0.2)
-        boxed = ng.WignerField(eval=w.eval, domain=w.domain, radial=None)
-        assert ng.negative_part(boxed).xi == pytest.approx(
-            ng.negative_part(w).xi, abs=1e-6)
+        assert ng.negative_part(w).xi == pytest.approx(
+            ng.fock_xi_t(1, 0.5, 0.2), abs=1e-6)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_box_xi_at_t0_matches_laguerre(self, n):
@@ -212,16 +312,14 @@ class TestNegativePart:
                            * math.exp(-u), a, b, epsabs=1e-14, epsrel=1e-13)[0]
             for a, b in zip(nodes, nodes[1:])) - 1.0
         w = ng.fock_wigner_t(n, 0.5, 0.0)
-        boxed = ng.WignerField(eval=w.eval, domain=w.domain)
-        assert ng.negative_part(boxed, tol=1e-8).xi == pytest.approx(
+        assert ng.negative_part(w, tol=1e-8).xi == pytest.approx(
             expected, abs=1e-8)
 
     def test_box_error_estimate_within_tolerance(self):
         # the |W| and W integrals share the tolerance instead of each
         # taking all of it
         w = ng.fock_wigner_t(2, 0.5, 0.0)
-        boxed = ng.WignerField(eval=w.eval, domain=w.domain)
-        assert ng.negative_part(boxed, tol=1e-8).est_error <= 1e-8
+        assert ng.negative_part(w, tol=1e-8).est_error <= 1e-8
 
     def test_box_negative_part_raises_under_round_cap(self):
         w = ng.fock_wigner_t(2, 0.5, 0.0)
@@ -233,10 +331,11 @@ class TestNegativePart:
         w = ng.fock_wigner_t(1, 0.5, 0.2)
         lo, hi = w.domain[0]
         shrunk = ng.WignerField(eval=w.eval,
-                                domain=((lo / 2, hi / 2), (lo / 2, hi / 2)),
-                                radial=w.radial)
-        assert ng.negative_part(shrunk).xi == pytest.approx(
-            ng.negative_part(w).xi, abs=1e-6)
+                                domain=((lo / 3, hi / 3), (lo / 3, hi / 3)))
+        _, mass, _ = ng._box_negative_part(shrunk, 1e-7)
+        assert abs(mass - 1.0) > 1e-6  # the small box alone misses mass
+        assert ng.negative_part(shrunk, tol=1e-7).xi == pytest.approx(
+            ng.fock_xi_t(1, 0.5, 0.2), abs=1e-6)
 
     def test_purity_oracle_on_gaussian(self):
         p = ps.SingleModeParams(mu=0.6, r=0.4, phi=0.2)
