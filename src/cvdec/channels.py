@@ -51,6 +51,7 @@ __all__ = [
     "single_mode_tau_t",
     "t_min",
     "t_nc",
+    "t_pos",
 ]
 
 
@@ -258,12 +259,25 @@ def t_min(init: SingleModeParams, bath: BathParams) -> float | None:
     return -math.log(arg) / bath.gamma
 
 
+def t_pos(bath: BathParams) -> float:
+    """Time ln(1 + μ∞e^{2r∞})/γ from which the Wigner function of every
+    input state is nonnegative.
+
+    The channel maps W₀ to W_t = (k-scaled W₀) ∗ G_{(1-k)σ∞}, k = e^{-γt}.
+    Once (1-k)σ∞ ⪰ (k/2)I, which with λ_min(σ∞) = e^{-2r∞}/(2μ∞) holds
+    from this time on, W_t is the k-scaled Husimi function convolved with
+    the Gaussian of (1-k)σ∞ - (k/2)I, so W_t ≥ 0.
+    """
+    return math.log(1.0 + bath.mu_inf * math.exp(2.0 * bath.r_inf)) / bath.gamma
+
+
 def t_nc(bath: BathParams) -> float:
     """State-independent instant at which any pure non-Gaussian input's
-    Wigner function becomes nonnegative."""
+    Wigner function becomes nonnegative in a thermal bath: ln(1 + μ∞)/γ,
+    which is :func:`t_pos` at r∞ = 0."""
     if not bath.is_thermal:
         raise ValueError("the positive time applies to thermal baths")
-    return math.log(1.0 + bath.mu_inf) / bath.gamma
+    return t_pos(bath)
 
 
 # convenience re-exports used by higher layers ------------------------------

@@ -219,8 +219,8 @@ class _Row:
 
 
 def _each(f: Callable[[_Grid, float], float]) -> _Column:
-    """A column computed point by point: quadratures, and the |0>/|1>
-    purity written for one t."""
+    """A column computed point by point: the box quadratures, which have
+    no form over an array of times."""
     return lambda g: np.array([f(g, float(t)) for t in g.t])
 
 
@@ -257,13 +257,27 @@ def _lindblad_purities(g: _Grid, state: Callable[..., nm.TruncatedDensityMatrix]
     return nm.lindblad_purities(state(g.init, dim), g.bath.gamma, N, M, g.t)
 
 
+def _fock_purity(g: _Grid) -> np.ndarray:
+    if g.bath.is_thermal:
+        return ng.fock_purity_thermal(g.init, g.bath.mu_inf, g.t, g.bath.gamma)
+    return ng.fock_purity_t(g.init, g.bath, g.t)
+
+
 def _fock_xi_box(g: _Grid, t: float) -> float:
     w = ng.fock_wigner_t(g.init, g.bath.mu_inf, t, g.bath.gamma)
     return ng.negative_part(w, tol=1e-8).xi
 
 
-def _cat_xi(g: _Grid, t: float) -> float:
+def _cat_xi_box(g: _Grid, t: float) -> float:
     return ng.negative_part(ng.cat_wigner_t(g.init, g.bath, t), tol=1e-8).xi
+
+
+def _cat_xi(g: _Grid) -> np.ndarray:
+    # exactly 0 from ch.t_pos on, where W_t >= 0 for every input state;
+    # the box quadrature before it
+    t_pos = ch.t_pos(g.bath)
+    return np.array([_cat_xi_box(g, t) if t < t_pos else 0.0
+                     for t in map(float, g.t)])
 
 
 def _cat_box_purity(g: _Grid, t: float) -> float:
@@ -289,9 +303,10 @@ _TABLE: dict[tuple[str, str], _Row] = {
     ("cat", "purity"): _Row(
         lambda g: ng.cat_purity_t(g.init, g.bath, g.t),
         _each(_cat_box_purity), "box quadrature"),
-    ("cat", "xi"): _repeated(_each(_cat_xi)),
+    ("cat", "xi"): _Row(_cat_xi, _each(_cat_xi_box),
+                        "box quadrature, independent from t_pos on"),
     ("fock", "purity"): _Row(
-        _each(lambda g, t: ng.fock_purity_t(g.init, g.bath, t)),
+        _fock_purity,
         lambda g: _lindblad_purities(g, nm.fock_state, g.init,
                                      2 * g.init + 24),
         "Lindblad trajectory"),
@@ -299,7 +314,7 @@ _TABLE: dict[tuple[str, str], _Row] = {
         lambda g: ng.fock_xi_t(g.init, g.bath.mu_inf, g.t, g.bath.gamma),
         _each(_fock_xi_box), "box quadrature"),
     ("psi01", "purity"): _Row(
-        _each(lambda g, t: ng.psi01_purity_t(g.init, g.bath, t)),
+        lambda g: ng.psi01_purity_t(g.init, g.bath, g.t),
         lambda g: _lindblad_purities(g, nm.psi01_state, 1, 32),
         "Lindblad trajectory"),
     ("two-mode", "purity"): _Row(

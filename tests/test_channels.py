@@ -197,6 +197,26 @@ class TestClosedForms:
         with pytest.raises(ValueError):
             ch.t_nc(ch.BathParams(gamma=1.0, mu_inf=0.5, r_inf=0.1))
 
+    @pytest.mark.parametrize("mu_inf", [0.1, 0.5, 0.7, 1.0])
+    @pytest.mark.parametrize("gamma", [0.3, 1.0, 2.7])
+    def test_t_pos_is_t_nc_in_thermal_baths(self, mu_inf, gamma):
+        bath = ch.BathParams(gamma=gamma, mu_inf=mu_inf)
+        assert ch.t_pos(bath) == ch.t_nc(bath) == math.log(1.0 + mu_inf) / gamma
+
+    @pytest.mark.parametrize("r_inf", [0.0, 0.3, 0.8])
+    def test_t_pos_is_where_noise_covers_scaled_vacuum(self, r_inf):
+        # (1 - k) σ∞ - (k/2) I turns positive semidefinite at t_pos
+        bath = ch.BathParams(gamma=1.3, mu_inf=0.6, r_inf=r_inf, phi_inf=0.4)
+
+        def margin(t):
+            k = math.exp(-bath.gamma * t)
+            return np.min(np.linalg.eigvalsh(
+                (1.0 - k) * ch.env_cm(bath) - 0.5 * k * np.eye(2)))
+
+        t_pos = ch.t_pos(bath)
+        assert abs(margin(t_pos)) < 1e-14
+        assert margin(0.99 * t_pos) < 0.0 < margin(1.01 * t_pos)
+
     def test_negative_time_rejected(self):
         init, bath = _random_params(RNG), _random_bath(RNG)
         with pytest.raises(ValueError):

@@ -304,6 +304,27 @@ class TestEndToEnd:
         assert rows[0][1] == pytest.approx(1.0, abs=1e-10)
         assert rows[1][1] < 1.0
 
+    def test_cat_xi_straddling_t_pos_within_oracle_tolerance(self, tmp_path):
+        # 1e-8 is the cat xi oracle tolerance of the benchmark checks; in
+        # this squeezed bath t_pos = ln(1 + 0.6 e^0.6) = 0.739 > t_nc
+        bath = {"gamma": 1.0, "mu_inf": 0.6, "r_inf": 0.3, "phi_inf": 0.4}
+        cfg = _write(tmp_path, "cat.json", {
+            "kind": "cat",
+            "initial": {"x0": [1.0, 0.5], "r0": 0.2},
+            "baths": [bath],
+            "grid": {"start": 0.2, "stop": 1.0, "points": 5},
+            "quantities": ["xi"],
+        })
+        out = tmp_path / "out.csv"
+        assert cli.main(["run", cfg, "--out", str(out), "--oracle",
+                         "--tolerance", "1e-8"]) == 0
+        header, rows = _read_csv(out)
+        t_pos = ch.t_pos(ch.BathParams(**bath))
+        late = [r for r in rows if r[0] >= t_pos]
+        assert 0 < len(late) < len(rows)
+        assert all(r[header.index("xi")] == 0.0 for r in late)
+        assert rows[0][header.index("xi")] > 0.0
+
 
 # ---------------------------------------------------------------------------
 # the table's columns against the public functions called point by point
@@ -315,13 +336,17 @@ _KIND_CONFIGS = {
     "single-gaussian": _single_config(
         quantities=["purity", "entropy", "tau", "xi"],
         grid={"start": 0.0, "stop": 3.0, "points": 7}),
+    # t_pos = ln 1.5 / 0.8 = 0.507 lies inside the grid
     "cat": {"kind": "cat", "initial": {"x0": [1.0, 0.5], "r0": 0.2},
-            "baths": [_THERMAL], "grid": {"start": 0.6, "stop": 1.2,
-                                          "points": 2},
+            "baths": [_THERMAL], "grid": {"start": 0.4, "stop": 0.6,
+                                          "points": 3},
             "quantities": ["purity", "xi"]},
     "fock": {"kind": "fock", "initial": {"n": 2}, "baths": [_THERMAL],
              "grid": {"start": 0.25, "stop": 1.5, "points": 4},
              "quantities": ["purity", "xi"]},
+    "fock-squeezed": {"kind": "fock", "initial": {"n": 2}, "baths": [_BATH],
+                      "grid": {"start": 0.0, "stop": 1.5, "points": 4},
+                      "quantities": ["purity"]},
     "psi01": {"kind": "psi01", "initial": {"vartheta": 0.7},
               "baths": [_BATH], "grid": {"start": 0.0, "stop": 1.5,
                                          "points": 4},
@@ -360,7 +385,7 @@ def _pointwise(s, t):
         return {"purity": (ng.cat_purity_t(cat, bath, t),
                            ng.wigner_purity(ng.cat_wigner_t(cat, bath, t),
                                             tol=1e-9)),
-                "xi": (xi, xi)}
+                "xi": (0.0 if t >= ch.t_pos(bath) else xi, xi)}
     if s.kind in ("fock", "psi01"):
         N, M = ch.nm_from_bath(bath)
         if s.kind == "psi01":
@@ -371,12 +396,16 @@ def _pointwise(s, t):
                                                   t).purity())}
         n = init["n"]
         dim = max(nm.default_truncation(N + abs(M), n), 2 * n + 24)
-        w = ng.fock_wigner_t(n, bath.mu_inf, t, bath.gamma)
-        return {"purity": (ng.fock_purity_t(n, bath, t),
-                           nm.lindblad_evolve(nm.fock_state(n, dim), bath.gamma,
-                                              N, M, t).purity()),
-                "xi": (ng.fock_xi_t(n, bath.mu_inf, t, bath.gamma),
-                       ng.negative_part(w, tol=1e-8).xi)}
+        closed = (ng.fock_purity_thermal(n, bath.mu_inf, t, bath.gamma)
+                  if bath.is_thermal else ng.fock_purity_t(n, bath, t))
+        out = {"purity": (closed,
+                          nm.lindblad_evolve(nm.fock_state(n, dim), bath.gamma,
+                                             N, M, t).purity())}
+        if "xi" in s.quantities:
+            w = ng.fock_wigner_t(n, bath.mu_inf, t, bath.gamma)
+            out["xi"] = (ng.fock_xi_t(n, bath.mu_inf, t, bath.gamma),
+                         ng.negative_part(w, tol=1e-8).xi)
+        return out
     params = tm.SqueezedThermalParams(init["mu"], init["r"])
     sf = params.standard_form
     cm = ch.evolve_moments(ps.GaussianState(np.zeros(4),
@@ -411,7 +440,7 @@ def test_table_matches_pointwise_functions(kind):
     for i, t in enumerate(s.times):
         for q, (closed, oracle) in _pointwise(s, float(t)).items():
             assert cols[q][i] == closed, (q, t)
-            if cli._TABLE[(kind, q)].path == "Lindblad trajectory":
+            if cli._TABLE[(s.kind, q)].path == "Lindblad trajectory":
                 assert cols[f"{q}_oracle"][i] == pytest.approx(oracle,
                                                                abs=1e-12)
             else:

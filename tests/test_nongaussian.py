@@ -7,7 +7,7 @@ from scipy import integrate, special
 from cvdec import nongaussian as ng
 from cvdec import numerics as nm
 from cvdec import phase_space as ps
-from cvdec.channels import BathParams, nm_from_bath
+from cvdec.channels import BathParams, nm_from_bath, t_pos
 
 
 THERMAL = BathParams(gamma=1.0, mu_inf=0.5)
@@ -132,6 +132,52 @@ class TestFockStates:
         assert ng.fock_purity_thermal(n, 0.5, t) == pytest.approx(
             ng.fock_purity_t(n, BathParams(gamma=1.0, mu_inf=0.5), t), rel=1e-10)
 
+    @pytest.mark.parametrize("n, mu_inf", [(3, 1.0), (5, 0.5), (10, 0.25)])
+    def test_thermal_closed_form_matches_integral_on_grid(self, n, mu_inf):
+        # the grid holds t = 0 and crosses xi = 2 at t = ln(1 + mu_inf)
+        times = np.append(np.linspace(0.0, 3.0, 31), math.log(1.0 + mu_inf))
+        closed = ng.fock_purity_thermal(n, mu_inf, times)
+        integral = ng.fock_purity_t(n, BathParams(gamma=1.0, mu_inf=mu_inf),
+                                    times)
+        assert closed[0] == integral[0] == 1.0
+        assert np.all(np.abs(closed - integral) <= 1e-13 * integral)
+
+    def test_vacuum_bath_matches_binomial_distribution(self):
+        # |3> after loss 1 - k has photon distribution C(3,m) k^m (1-k)^(3-m);
+        # both forms stay within 2e-15 of its sum of squares on this grid
+        gamma = 1.3
+        times = np.linspace(0.0, 5.0 / gamma, 250)
+        k = np.exp(-gamma * times)
+        ref = sum((math.comb(3, m) * k ** m * (1.0 - k) ** (3 - m)) ** 2
+                  for m in range(4))
+        closed = ng.fock_purity_thermal(3, 1.0, times, gamma)
+        integral = ng.fock_purity_t(3, BathParams(gamma=gamma, mu_inf=1.0),
+                                    times)
+        assert np.max(np.abs(closed - ref)) <= 4e-15
+        assert np.max(np.abs(integral - ref)) <= 4e-15
+
+    @pytest.mark.parametrize("n", [1, 5, 10])
+    def test_thermal_closed_form_reaches_mu_inf_at_long_times(self, n):
+        # ξ̃^{n+1} overflows from γt ≈ 710/(n+1) on; e^{-γt} underflows at 800
+        times = np.array([50.0, 120.0, 800.0, 1e4])
+        values = ng.fock_purity_thermal(n, 0.5, times)
+        assert np.all(np.abs(values - 0.5) <= 1e-15)
+
+    @pytest.mark.parametrize("n", [0, 1, 3, 10])
+    def test_thermal_array_matches_scalar_calls(self, n):
+        times = np.append(np.linspace(0.0, 3.0, 61), math.log(1.7))
+        values = ng.fock_purity_thermal(n, 0.7, times, 1.2)
+        assert values.shape == times.shape
+        assert list(values) == [ng.fock_purity_thermal(n, 0.7, t, 1.2)
+                                for t in times]
+
+    def test_integral_array_matches_scalar_calls(self):
+        times = np.linspace(0.0, 2.0, 5)
+        values = ng.fock_purity_t(2, SQUEEZED, times)
+        assert values.shape == times.shape
+        assert list(values) == [ng.fock_purity_t(2, SQUEEZED, t)
+                                for t in times]
+
     def test_closed_form_regular_through_xi_equals_two(self):
         # xi(t) = 1 + (1/k - 1)/mu crosses 2 at t = ln(1 + mu); the closed
         # form must stay continuous there even though the Legendre argument
@@ -204,6 +250,14 @@ class TestPsi01:
         num = nm.lindblad_purities(nm.psi01_state(vartheta, dim), *SQUEEZED_NM,
                                    [t])[0]
         assert ng.psi01_purity_t(vartheta, SQUEEZED, t) == pytest.approx(num, abs=1e-6)
+
+    @pytest.mark.parametrize("bath", [THERMAL, SQUEEZED])
+    def test_array_matches_scalar_calls(self, bath):
+        times = np.linspace(0.0, 5.0, 201)
+        values = ng.psi01_purity_t(0.9, bath, times)
+        assert values.shape == times.shape
+        assert list(values) == [ng.psi01_purity_t(0.9, bath, t)
+                                for t in times]
 
     def test_phase_periodicity(self):
         assert ng.psi01_purity_t(0.3, SQUEEZED, 0.7) == pytest.approx(
@@ -278,6 +332,19 @@ class TestFockXiClosedForm:
             ng.fock_xi_t(-1, 0.5, 0.1)
         with pytest.raises(ValueError):
             ng.fock_xi_t(1, 1.5, 0.1)
+
+
+class TestPositivityTime:
+    @pytest.mark.parametrize("r_inf", [0.3, 0.8])
+    @pytest.mark.parametrize("theta", [0.0, math.pi])
+    def test_squeezed_cat_nonnegative_at_t_pos(self, r_inf, theta):
+        bath = BathParams(gamma=1.0, mu_inf=0.6, r_inf=r_inf, phi_inf=0.4)
+        cat = ng.CatState(x0=(1.5, 0.5), r0=0.4, theta=theta)
+        w = ng.cat_wigner_t(cat, bath, t_pos(bath))
+        axes = [np.linspace(lo, hi, 401) for lo, hi in w.domain]
+        grid = np.stack([a.ravel() for a in np.meshgrid(*axes)], axis=-1)
+        assert np.min(w.eval(grid)) >= 0.0
+        assert ng.negative_part(w, tol=1e-8).xi <= 1e-8
 
 
 class TestNegativePart:
