@@ -28,10 +28,8 @@ import numpy as np
 from .phase_space import (
     GaussianState,
     SingleModeParams,
-    check_physical,
     cm_from_params,
     params_from_cm,
-    purity_gaussian,
     symplectic_form,
 )
 

@@ -82,8 +82,16 @@ def load_scenario(path: str) -> Scenario:
     return parse_scenario(raw)
 
 
+def _finite(x) -> bool:
+    """True iff every number in a parsed JSON value is finite."""
+    if isinstance(x, (dict, list)):
+        return all(map(_finite, x.values() if isinstance(x, dict) else x))
+    return not isinstance(x, float) or math.isfinite(x)
+
+
 def parse_scenario(raw: dict) -> Scenario:
     _require(isinstance(raw, dict), "scenario must be a JSON object")
+    _require(_finite(raw), "every number in the scenario must be finite")
     kind = raw.get("kind")
     _require(isinstance(kind, str) and kind in _INITIAL,
              f"kind must be one of {tuple(_INITIAL)}")
@@ -184,7 +192,7 @@ _INITIAL_CM = {
 @dataclass
 class _Grid:
     """What a column is computed from: the scenario, its parsed initial
-    state, and the evolved covariance matrices, built on first use."""
+    state, and the evolved Gaussian states, built on first use."""
 
     s: Scenario
     init: object
@@ -198,11 +206,11 @@ class _Grid:
         return self.s.baths[0]
 
     @functools.cached_property
-    def cm(self) -> np.ndarray:
-        """(T, 2n, 2n) stack of evolved covariance matrices."""
+    def state(self) -> ps.GaussianState:
+        """Evolved states, checked once: a (T, 2n, 2n) stack of matrices."""
         cm0 = _INITIAL_CM[self.s.kind](self.init)
         state = ps.GaussianState(np.zeros(len(cm0)), cm0)
-        return ch.evolve_moments(state, self.s.channel, self.t).cm
+        return ch.evolve_moments(state, self.s.channel, self.t)
 
 
 _Column = Callable[[_Grid], np.ndarray]
@@ -226,7 +234,7 @@ def _each(f: Callable[[_Grid, float], float]) -> _Column:
 
 def _single_entropy(g: _Grid) -> np.ndarray:
     # f(1/2μ) with μ = 1/(2√Det σ) capped at 1, as params_from_cm gives it
-    mu = np.minimum(1.0 / (2.0 * np.sqrt(np.linalg.det(g.cm))), 1.0)
+    mu = np.minimum(1.0 / (2.0 * np.sqrt(np.linalg.det(g.state.cm))), 1.0)
     return ps.entropy_function(1.0 / (2.0 * mu))
 
 
@@ -234,7 +242,7 @@ def _mirrored_log_negativity(g: _Grid) -> np.ndarray:
     # symplectic spectrum of the mirror-reflected covariance matrix; the log
     # is math.log elementwise, as in tm.log_negativity
     mirror = np.diag([1.0, 1.0, 1.0, -1.0])
-    nu = np.min(ps.symplectic_eigenvalues(mirror @ g.cm @ mirror), axis=-1)
+    nu = np.min(ps.symplectic_eigenvalues(mirror @ g.state.cm @ mirror), axis=-1)
     return np.maximum(0.0, -np.vectorize(math.log, otypes=[float])(2.0 * nu))
 
 
@@ -245,7 +253,7 @@ def _two_mode_purity(g: _Grid) -> np.ndarray:
 
 def _spectral_two_mode_purity(g: _Grid) -> np.ndarray:
     # 1/(4 ν₊ν₋), from the spectrum rather than from a determinant
-    nu = ps.symplectic_eigenvalues(g.cm)
+    nu = ps.symplectic_eigenvalues(g.state.cm)
     return 1.0 / (4.0 * nu[..., 0] * nu[..., 1])
 
 
@@ -292,13 +300,13 @@ def _repeated(f: _Column) -> _Row:
 _TABLE: dict[tuple[str, str], _Row] = {
     ("single-gaussian", "purity"): _Row(
         lambda g: ch.single_mode_purity_t(g.init, g.bath, g.t),
-        lambda g: ps.purity_gaussian(g.cm), "CM determinant"),
+        lambda g: ps.purity_gaussian(g.state), "CM determinant"),
     ("single-gaussian", "entropy"): _Row(
-        _single_entropy, lambda g: ps.von_neumann_entropy(g.cm),
+        _single_entropy, lambda g: ps.von_neumann_entropy(g.state),
         "CM spectrum"),
     ("single-gaussian", "tau"): _Row(
         lambda g: ch.single_mode_tau_t(g.init, g.bath, g.t),
-        lambda g: ps.nonclassical_depth_gaussian(g.cm), "CM eigenvalues"),
+        lambda g: ps.nonclassical_depth_gaussian(g.state), "CM eigenvalues"),
     ("single-gaussian", "xi"): _repeated(lambda g: np.zeros_like(g.t)),
     ("cat", "purity"): _Row(
         lambda g: ng.cat_purity_t(g.init, g.bath, g.t),
@@ -320,20 +328,20 @@ _TABLE: dict[tuple[str, str], _Row] = {
     ("two-mode", "purity"): _Row(
         _two_mode_purity, _spectral_two_mode_purity, "CM spectrum"),
     ("two-mode", "entropy"): _repeated(
-        lambda g: ps.von_neumann_entropy(g.cm)),
+        lambda g: ps.von_neumann_entropy(g.state)),
     ("two-mode", "tau"): _repeated(
-        lambda g: ps.nonclassical_depth_gaussian(g.cm)),
+        lambda g: ps.nonclassical_depth_gaussian(g.state)),
     ("two-mode", "logneg"): _Row(
-        lambda g: tm.log_negativity(g.cm), _mirrored_log_negativity,
+        lambda g: tm.log_negativity(g.state), _mirrored_log_negativity,
         "mirrored CM spectrum"),
     ("two-mode", "mutual-info"): _repeated(
-        lambda g: tm.mutual_information(g.cm)),
+        lambda g: tm.mutual_information(g.state)),
     ("two-mode", "fidelity"): _repeated(
-        lambda g: tm.teleportation_fidelity(g.cm)),
+        lambda g: tm.teleportation_fidelity(g.state)),
     ("fidelity", "fidelity"): _Row(
         lambda g: tm.fidelity_t(g.init, g.s.channel, g.t),
-        lambda g: tm.teleportation_fidelity(g.cm), "CM invariants"),
-    ("fidelity", "logneg"): _repeated(lambda g: tm.log_negativity(g.cm)),
+        lambda g: tm.teleportation_fidelity(g.state), "CM invariants"),
+    ("fidelity", "logneg"): _repeated(lambda g: tm.log_negativity(g.state)),
 }
 
 

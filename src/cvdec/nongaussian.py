@@ -261,8 +261,8 @@ def _fock_purity_quad(n: int, bath: BathParams, t: float) -> float:
         return math.exp(log_weight) * special.eval_laguerre(n, s) ** 2
 
     upper = (2.0 * n + 40.0) / (xi - beta)
-    value, err = quad(integrand, 0.0, upper, limit=200, epsabs=1e-13, epsrel=1e-12)
-    tail, terr = quad(integrand, upper, np.inf, limit=200, epsabs=1e-13)
+    value, err = quad(integrand, 0.0, upper, limit=200, epsabs=1e-13 * k, epsrel=1e-12)
+    tail, terr = quad(integrand, upper, np.inf, limit=200, epsabs=1e-13 * k)
     return (value + tail) / k
 
 

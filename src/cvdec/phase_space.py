@@ -66,8 +66,8 @@ def symplectic_form(n: int) -> np.ndarray:
 
 
 # The functions below take one covariance matrix (2n, 2n) or a stack of
-# them (..., 2n, 2n), and return one value per matrix.  Their checks hold
-# for every matrix of a stack.
+# them (..., 2n, 2n), and their checks hold for every matrix of a stack.  The
+# measures also take a GaussianState, checked when it was built, not again.
 
 def symplectic_eigenvalues(cm) -> np.ndarray:
     """Symplectic spectrum: the n positive moduli of the eigenvalues of iΩσ,
@@ -99,6 +99,9 @@ def check_physical(cm) -> bool:
 
 
 def require_physical(cm) -> np.ndarray:
+    """σ checked to be physical; a GaussianState's σ passes unchecked."""
+    if isinstance(cm, GaussianState):
+        return cm.cm
     m = _as_cm(cm)
     if not check_physical(m):
         raise ValueError("covariance matrix violates the uncertainty principle")

@@ -123,9 +123,9 @@ def standard_form_to_cm(sf: StandardForm) -> np.ndarray:
     ]))
 
 
-# The functions below take one 4x4 covariance matrix or a stack
-# (..., 4, 4) of them, and return one value per matrix.  Their checks hold
-# for every matrix of a stack.
+# The functions below take one 4x4 covariance matrix, a stack (..., 4, 4)
+# of them or a GaussianState, and return one value per matrix.  Their checks
+# hold for every matrix of a stack; a GaussianState is not checked again.
 
 # math.log elementwise, for the same reason as channels._exp
 _log = np.vectorize(math.log, otypes=[float])
@@ -140,9 +140,10 @@ def _blocks(cm):
 
 def invariants(cm) -> TwoModeInvariants:
     """Determinants of the 2x2 blocks and of the full matrix."""
-    alpha, beta, gamma = _blocks(require_physical(cm))
+    m = require_physical(cm)
+    alpha, beta, gamma = _blocks(m)
     return TwoModeInvariants(
-        det_sigma=np.linalg.det(np.asarray(cm, dtype=float))[()],
+        det_sigma=np.linalg.det(m)[()],
         det_alpha=np.linalg.det(alpha)[()],
         det_beta=np.linalg.det(beta)[()],
         det_gamma=np.linalg.det(gamma)[()],
@@ -179,7 +180,7 @@ def mutual_information(cm):
     m = require_physical(cm)
     alpha, beta, _ = _blocks(m)
     value = (von_neumann_entropy(alpha) + von_neumann_entropy(beta)
-             - von_neumann_entropy(m))
+             - von_neumann_entropy(cm))
     if np.any(value < -1e-9):
         raise ArithmeticError("subadditivity violated beyond tolerance")
     return np.maximum(value, 0.0)[()]
@@ -312,18 +313,13 @@ def evolved_invariants(sf0: StandardForm, ch: ChannelSpec, t) -> TwoModeInvarian
         coeff = coefficient_set(sf0, ch)
     except ValueError:
         state = GaussianState(np.zeros(4), standard_form_to_cm(sf0))
-        return invariants(evolve_moments(state, ch, t).cm)
+        return invariants(evolve_moments(state, ch, t))
     return coeff.at(_exp(-ch.baths[0].gamma * t))
 
 
 # ---------------------------------------------------------------------------
 # entanglement time
 # ---------------------------------------------------------------------------
-
-def _nu_minus_t(sf0: StandardForm, ch: ChannelSpec, t: float) -> float:
-    state = GaussianState(np.zeros(4), standard_form_to_cm(sf0))
-    return ppt_symplectic_eigenvalues(evolve_moments(state, ch, t).cm)[0]
-
 
 def entanglement_time(sf0: StandardForm, ch: ChannelSpec) -> float | None:
     """Time at which an initially entangled state becomes separable, or None
@@ -334,7 +330,8 @@ def entanglement_time(sf0: StandardForm, ch: ChannelSpec) -> float | None:
     couplings are equal and from 1/γ otherwise, and is then found by Brent's
     method.
     """
-    if is_separable(standard_form_to_cm(sf0)):
+    state = GaussianState(np.zeros(4), standard_form_to_cm(sf0))
+    if is_separable(state):
         raise ValueError("initial state is separable")
     gamma = ch.baths[0].gamma
 
@@ -349,7 +346,8 @@ def entanglement_time(sf0: StandardForm, ch: ChannelSpec) -> float | None:
         if roots and max(roots) < 1.0 - 1e-15:
             t_hi = -math.log(max(roots)) / gamma
 
-    g = lambda t: _nu_minus_t(sf0, ch, t) - 0.5
+    nu_minus = lambda t: ppt_symplectic_eigenvalues(evolve_moments(state, ch, t))[0]
+    g = lambda t: nu_minus(t) - 0.5
     for _ in range(60):
         if g(t_hi) > 0.0:
             break
@@ -361,7 +359,7 @@ def entanglement_time(sf0: StandardForm, ch: ChannelSpec) -> float | None:
     # reaches 1/2 asymptotically): the state must be strictly separable a
     # finite stretch beyond the candidate time
     t_check = t_star + max(1.0 / gamma, 0.1 * t_star)
-    if _nu_minus_t(sf0, ch, t_check) <= 0.5 + 1e-7:
+    if nu_minus(t_check) <= 0.5 + 1e-7:
         return None
     return t_star
 

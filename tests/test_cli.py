@@ -155,6 +155,20 @@ class TestEndToEnd:
         assert cli.main(["run", cfg, "--out", str(out)]) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("mutation", [
+        {"baths": [{"gamma": math.inf, "mu_inf": 0.5}]},
+        {"baths": [{"gamma": math.nan, "mu_inf": 0.5}]},
+        {"baths": [{"gamma": 1.0, "mu_inf": 0.5, "r_inf": math.nan}]},
+        {"grid": {"start": 0.0, "stop": math.inf, "points": 5}},
+        {"initial": {"mu": 0.8, "r": math.nan}},
+    ])
+    def test_non_finite_number_is_config_error(self, tmp_path, mutation):
+        # json writes and reads these as NaN and Infinity
+        cfg = _write(tmp_path, "bad.json", _single_config(**mutation))
+        out = tmp_path / "out.csv"
+        assert cli.main(["run", cfg, "--out", str(out)]) == 1
+        assert not out.exists()
+
     def test_fock_run_with_oracle(self, tmp_path):
         cfg = _write(tmp_path, "fock.json", {
             "kind": "fock",
@@ -447,6 +461,24 @@ def test_table_matches_pointwise_functions(kind):
                 assert cols[f"{q}_oracle"][i] == oracle, (q, t)
 
 
+@pytest.mark.parametrize("kind", ["single-gaussian", "two-mode", "fidelity"])
+def test_evolved_stack_checked_once(kind, monkeypatch):
+    # the evolved GaussianState is checked when built; the columns computed
+    # from it do not check its (T, 2n, 2n) stack again
+    s = cli.parse_scenario(dict(_KIND_CONFIGS[kind], oracle=True))
+    dim = 4 if kind in ("two-mode", "fidelity") else 2
+    shapes = []
+    check = ps.check_physical
+
+    def counted(cm):
+        shapes.append(np.shape(cm))
+        return check(cm)
+
+    monkeypatch.setattr(ps, "check_physical", counted)
+    cli.run_scenario(s)
+    assert shapes.count((len(s.times), dim, dim)) == 1
+
+
 def test_unphysical_matrix_in_stack_raises():
     stack = np.stack([0.5 * np.eye(2), 0.7 * np.eye(2), 0.4 * np.eye(2),
                       0.6 * np.eye(2)])
@@ -455,3 +487,9 @@ def test_unphysical_matrix_in_stack_raises():
         ps.require_physical(stack)
     with pytest.raises(ValueError, match="uncertainty"):
         ps.purity_gaussian(stack)
+    # raw two-mode stacks are still checked by every measure
+    stack4 = np.stack([0.5 * np.eye(4), 0.45 * np.eye(4), 0.6 * np.eye(4)])
+    for f in (tm.invariants, tm.log_negativity, tm.mutual_information,
+              ps.von_neumann_entropy):
+        with pytest.raises(ValueError, match="uncertainty"):
+            f(stack4)

@@ -163,6 +163,17 @@ class TestFockStates:
         values = ng.fock_purity_thermal(n, 0.5, times)
         assert np.all(np.abs(values - 0.5) <= 1e-15)
 
+    @pytest.mark.parametrize("n", [1, 5, 10])
+    def test_integral_reaches_mu_inf_at_long_times(self, n):
+        # the integral is about k μ∞ before its division by k, so quad's
+        # absolute tolerance must shrink with k
+        times = np.array([50.0, 200.0])
+        squeezed = ng.fock_purity_t(n, BathParams(1.0, 0.5, r_inf=0.3), times)
+        thermal = ng.fock_purity_t(n, THERMAL, times)
+        assert np.all(np.abs(squeezed - 0.5) <= 1e-12)
+        assert np.all(np.abs(thermal - ng.fock_purity_thermal(n, 0.5, times))
+                      <= 1e-12)
+
     @pytest.mark.parametrize("n", [0, 1, 3, 10])
     def test_thermal_array_matches_scalar_calls(self, n):
         times = np.append(np.linspace(0.0, 3.0, 61), math.log(1.7))
