@@ -83,10 +83,14 @@ def load_scenario(path: str) -> Scenario:
 
 
 def _finite(x) -> bool:
-    """True iff every number in a parsed JSON value is finite."""
+    """True iff every number in a parsed JSON value is a finite float, or an
+    integer that converts to one."""
     if isinstance(x, (dict, list)):
         return all(map(_finite, x.values() if isinstance(x, dict) else x))
-    return not isinstance(x, float) or math.isfinite(x)
+    try:
+        return not isinstance(x, (int, float)) or math.isfinite(x)
+    except OverflowError:  # an integer beyond the float range
+        return False
 
 
 def parse_scenario(raw: dict) -> Scenario:
@@ -120,9 +124,10 @@ def parse_scenario(raw: dict) -> Scenario:
     _require(isinstance(grid, dict), "a time grid is required")
     try:
         start, stop = float(grid["start"]), float(grid["stop"])
-        points = int(grid["points"])
+        points = grid["points"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid time grid: {exc}") from exc
+    _require(type(points) is int, "grid points must be an integer")
     _require(points >= 1 and stop >= start >= 0.0,
              "grid needs points >= 1 and 0 <= start <= stop")
     spacing = grid.get("spacing", "linear")

@@ -86,7 +86,8 @@ class CatState:
 
 @dataclass(frozen=True)
 class WignerField:
-    """Evaluable Wigner function plus its integration box."""
+    """Evaluable Wigner function plus its integration box.  ``eval`` returns
+    a new array, which the quadratures overwrite."""
 
     eval: Callable[[np.ndarray], np.ndarray]
     domain: tuple[tuple[float, float], ...]
@@ -150,13 +151,34 @@ def cat_wigner_t(cat: CatState, bath: BathParams, t: float) -> WignerField:
             * math.sqrt(np.linalg.det(sigma_t)))
 
     def evaluate(pts: np.ndarray) -> np.ndarray:
+        # in place, each operation in the order of the formula above; the
+        # products with A stay matmuls (a column-wise product rounds
+        # differently)
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        q = np.einsum("ij,ij->i", pts @ a, pts)
-        ly, lz = pts @ ay, pts @ az
-        return (np.exp(-0.5 * (q - 2.0 * ly + yay))
-                + np.exp(-0.5 * (q + 2.0 * ly + yay))
-                + 2.0 * np.exp(log_e + 0.5 * (zaz - q))
-                * np.cos(cat.theta - lz)) / norm
+        pa = pts @ a
+        q = pa[:, 0] * pts[:, 0]
+        q += pa[:, 1] * pts[:, 1]
+        ly2 = pts @ ay
+        ly2 *= 2.0
+        out = q - ly2
+        out += yay
+        out *= -0.5
+        np.exp(out, out=out)
+        ly2 += q
+        ly2 += yay
+        ly2 *= -0.5
+        out += np.exp(ly2, out=ly2)
+        np.subtract(zaz, q, out=q)
+        q *= 0.5
+        q += log_e
+        np.exp(q, out=q)
+        q *= 2.0
+        lz = pts @ az
+        np.subtract(cat.theta, lz, out=lz)
+        q *= np.cos(lz, out=lz)
+        out += q
+        out /= norm
+        return out
 
     stds = np.sqrt(np.diag(sigma_t))
     half = np.abs(y) + np.abs(z) + 6.0 * np.max(stds)
@@ -307,14 +329,24 @@ def fock_wigner_t(n: int, mu_inf: float, t: float, gamma: float = 1.0) -> Wigner
         for m in range(n + 1)
     ])
 
+    norm = np.pi * zeta ** (n + 1)
+
     def evaluate(pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        rho = np.sqrt(np.einsum("ij,ij->i", pts, pts))
-        s2 = rho * rho
-        poly = np.zeros_like(s2)
-        for m in range(n, -1, -1):
-            poly = poly * s2 + coeffs[m]
-        return poly * np.exp(-s2 / zeta) / (np.pi * zeta ** (n + 1))
+        x, y = pts[:, 0], pts[:, 1]
+        s2 = x * x
+        s2 += y * y
+        np.sqrt(s2, out=s2)
+        s2 *= s2  # rho², rounded through rho
+        poly = np.full_like(s2, coeffs[n])
+        for m in range(n - 1, -1, -1):
+            poly *= s2
+            poly += coeffs[m]
+        np.negative(s2, out=s2)
+        s2 /= zeta
+        poly *= np.exp(s2, out=s2)
+        poly /= norm
+        return poly
 
     half = math.sqrt(zeta) * (math.sqrt(2.0 * n + 1.0) + 7.0)
     return WignerField(eval=evaluate, domain=((-half, half), (-half, half)))
@@ -376,10 +408,17 @@ def psi01_purity_t(vartheta: float, bath: BathParams, t):
 # negative part
 # ---------------------------------------------------------------------------
 
+def _inplace(ufunc, values) -> np.ndarray:
+    """``ufunc`` applied to the values a ``WignerField.eval`` returned,
+    overwriting them."""
+    values = np.asarray(values, dtype=float)
+    return ufunc(values, out=values)
+
+
 def wigner_purity(w: WignerField, tol: float = 1e-10) -> float:
     """(2π)ⁿ ∫ W² by adaptive quadrature — the purity oracle."""
     spec = QuadratureSpec(extents=w.domain, tol=tol)
-    res = integrate_phase_space(lambda p: np.asarray(w.eval(p)) ** 2, spec)
+    res = integrate_phase_space(lambda p: _inplace(np.square, w.eval(p)), spec)
     return (2.0 * np.pi) ** (len(w.domain) // 2) * res.value
 
 
@@ -392,7 +431,7 @@ def _box_negative_part(w: WignerField, tol: float, max_refinements: int = 20):
         lambda p: np.asarray(w.eval(p)),
         QuadratureSpec(w.domain, tol / 2, max_refinements))
     res_abs = integrate_phase_space(
-        lambda p: np.abs(w.eval(p)),
+        lambda p: _inplace(np.abs, w.eval(p)),
         QuadratureSpec(w.domain, tol - res_sig.error, max_refinements))
     return res_abs.value, res_sig.value, res_abs.error + res_sig.error
 

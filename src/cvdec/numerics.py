@@ -111,32 +111,56 @@ _GK15_X = np.concatenate([-_GK15_POS[:0:-1], _GK15_POS])
 _GK15_WK = np.concatenate([_K15_POS[:0:-1], _K15_POS])
 _GK15_WG = np.concatenate([_G7_POS[:0:-1], _G7_POS])
 
-_BATCH = 2 ** 18  # most points passed to the integrand in one call
+_BATCH = 2 ** 16  # most points passed to the integrand in one call
+_SUMS = 2 ** 18  # most points in one weighted panel sum
 _SLAB = 2 ** 20  # most points of one tensor Gauss-Legendre slab
 
 
-def _gk_panels(f, spec: QuadratureSpec) -> QuadratureResult:
-    d = len(spec.extents)
-    lo, hi = np.array(spec.extents, dtype=float).T
+@functools.cache
+def _gk_rule(d: int):
+    """The tensor G7/K15 rule on [-1, 1]^d, read-only: its (15^d, d) nodes,
+    K15 weights, K15 - G7 weights, and the (2^d, d) child offsets ±1."""
     nodes = np.stack(np.meshgrid(*[_GK15_X] * d, indexing="ij"),
                      axis=-1).reshape(-1, d)
     w_k = functools.reduce(np.multiply.outer, [_GK15_WK] * d).ravel()
     w_diff = w_k - functools.reduce(np.multiply.outer, [_GK15_WG] * d).ravel()
     signs = np.array(list(itertools.product((-1.0, 1.0), repeat=d)))
+    for a in (nodes, w_k, w_diff, signs):
+        a.flags.writeable = False
+    return nodes, w_k, w_diff, signs
+
+
+def _gk_panels(f, spec: QuadratureSpec) -> QuadratureResult:
+    d = len(spec.extents)
+    lo, hi = np.array(spec.extents, dtype=float).T
+    nodes, w_k, w_diff, signs = _gk_rule(d)
     per_call = max(1, _BATCH // len(nodes))
+    # a panel sum is a row of a matrix-vector product over up to `per_sum`
+    # panels; its rounding depends on that row count, so the row count does
+    # not follow the batch size of the integrand
+    per_sum = max(1, _SUMS // len(nodes))
+    pts = np.empty((per_call, len(nodes), d))
+    vals = np.empty((per_sum, len(nodes)))
     half = 0.5 * (hi - lo)
     centers = (0.5 * (lo + hi))[None, :]
     retired_value = retired_error = 0.0
     evals = 0
     for _ in range(spec.max_refinements + 1):
+        offsets = (half * nodes).T
         value = np.empty(len(centers))
         error = np.empty(len(centers))
-        for s in range(0, len(centers), per_call):
-            c = centers[s:s + per_call]
-            vals = np.asarray(f((c[:, None, :] + half * nodes).reshape(-1, d)),
-                              dtype=float).reshape(len(c), -1)
-            value[s:s + per_call] = vals @ w_k
-            error[s:s + per_call] = np.abs(vals @ w_diff)
+        for s in range(0, len(centers), per_sum):
+            block = centers[s:s + per_sum]
+            rows = vals[:len(block)]
+            for u in range(0, len(block), per_call):
+                c = block[u:u + per_call]
+                p = pts[:len(c)]
+                for j in range(d):  # c[:, None, :] + half * nodes, by axis
+                    np.add(c[:, j, None], offsets[j], out=p[..., j])
+                rows[u:u + per_call] = np.asarray(
+                    f(p.reshape(-1, d)), dtype=float).reshape(p.shape[:2])
+            value[s:s + per_sum] = rows @ w_k
+            error[s:s + per_sum] = np.abs(rows @ w_diff)
         evals += len(centers) * len(nodes)
         jac = float(np.prod(half))
         value *= jac
@@ -183,13 +207,15 @@ def integrate_phase_space(f: Callable[[np.ndarray], np.ndarray],
     ``f`` must accept an (N, d) array of points and return N values.
 
     For d <= 2 the rule is a globally adaptive tensor Gauss-Kronrod G7/K15
-    on panels.  Each round evaluates every active panel, at most 2^18
-    points per call of ``f``; a panel's value is its K15 sum and its error
-    is |K15 - G7|.  A panel whose error exceeds its equal share of the
-    tolerance not yet spent on retired panels is bisected along every axis;
-    the others are retired with their value and error.  The result is the
-    summed value and error of retired and active panels, and it is
-    converged once that error is at most ``spec.tol``.
+    on panels.  Each round evaluates every active panel, at most 2^16
+    points per call of ``f``; the array of points is reused by the next
+    call, so ``f`` must not keep it.  A panel's value is its K15 sum and its
+    error is |K15 - G7|, both rows of matrix-vector products over up to 2^18
+    points, whatever the batch size of ``f``.  A panel whose error exceeds
+    its equal share of the tolerance not yet spent on retired panels is
+    bisected along every axis; the others are retired with their value and
+    error.  The result is the summed value and error of retired and active
+    panels, and it is converged once that error is at most ``spec.tol``.
     ``spec.max_refinements`` caps the number of bisection rounds.
 
     For d > 2 a single tensor Gauss-Legendre panel is raised through the

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -62,6 +66,9 @@ class TestParsing:
         {"quantities": ["logneg"]},
         {"quantities": ["nonsense"]},
         {"kind": ["single-gaussian"]},
+        {"grid": {"start": 0.0, "stop": 2.0, "points": 3.5}},
+        {"grid": {"start": 0.0, "stop": 2.0, "points": True}},
+        {"grid": {"start": 0.0, "stop": 2.0, "points": "3"}},
     ])
     def test_invalid_configs_rejected(self, mutation):
         with pytest.raises(cli.ConfigError):
@@ -161,9 +168,12 @@ class TestEndToEnd:
         {"baths": [{"gamma": 1.0, "mu_inf": 0.5, "r_inf": math.nan}]},
         {"grid": {"start": 0.0, "stop": math.inf, "points": 5}},
         {"initial": {"mu": 0.8, "r": math.nan}},
+        {"baths": [{"gamma": 10 ** 400, "mu_inf": 0.5}]},
+        {"grid": {"start": 0.0, "stop": -10 ** 400, "points": 5}},
     ])
     def test_non_finite_number_is_config_error(self, tmp_path, mutation):
-        # json writes and reads these as NaN and Infinity
+        # json writes and reads these as NaN, Infinity and integers beyond
+        # the float range
         cfg = _write(tmp_path, "bad.json", _single_config(**mutation))
         out = tmp_path / "out.csv"
         assert cli.main(["run", cfg, "--out", str(out)]) == 1
@@ -197,6 +207,30 @@ class TestEndToEnd:
                          "--tolerance", "1e-6"]) == 0
         header, rows = _read_csv(out)
         assert rows[0][header.index("xi_absdiff")] <= 1e-6
+
+    def test_oracle_csv_independent_of_blas_threads(self, tmp_path):
+        # the rounding of the quadrature's panel sums must not depend on how
+        # many threads the BLAS splits them over
+        cfg = _write(tmp_path, "fock.json", {
+            "kind": "fock",
+            "initial": {"n": 2},
+            "baths": [{"gamma": 1.0, "mu_inf": 0.5}],
+            "grid": {"start": 0.3, "stop": 0.3, "points": 1},
+            "quantities": ["xi"],
+        })
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        written = []
+        for threads in (None, "1"):
+            if threads:
+                env["OPENBLAS_NUM_THREADS"] = threads
+            out = tmp_path / f"out-{threads}.csv"
+            subprocess.run([sys.executable, "-m", "cvdec.cli", "run", cfg,
+                            "--out", str(out), "--oracle"],
+                           env=env, check=True, capture_output=True)
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
 
     def test_fock_xi_requires_thermal_bath(self, tmp_path):
         cfg = _write(tmp_path, "fock.json", {

@@ -399,6 +399,27 @@ class TestNegativePart:
         w = ng.fock_wigner_t(2, 0.5, 0.0)
         assert ng.negative_part(w, tol=1e-8).est_error <= 1e-8
 
+    @pytest.mark.parametrize("batch", [nm._BATCH, 2 ** 12])
+    def test_box_xi_pinned_bit_for_bit(self, batch, monkeypatch):
+        # the box quadrature's points, weights, panel sums and refinement
+        # decisions are pinned by its value, its error estimate and its
+        # evaluation counts (signed W, then |W|), whatever the batch size of
+        # the integrand.  The bits are those of numpy's bundled OpenBLAS;
+        # another BLAS may round the panel sums differently.
+        monkeypatch.setattr(nm, "_BATCH", batch)
+        counts = []
+
+        def counted(f, spec):
+            res = nm.integrate_phase_space(f, spec)
+            counts.append(res.evaluations)
+            return res
+
+        monkeypatch.setattr(ng, "integrate_phase_space", counted)
+        res = ng.negative_part(ng.fock_wigner_t(2, 0.5, 0.0), tol=1e-8)
+        assert res.xi.hex() == "0x1.753e147d502c4p-1"
+        assert res.est_error.hex() == "0x1.37178b0d8928dp-27"
+        assert counts == [26325, 9836325]
+
     def test_box_negative_part_raises_under_round_cap(self):
         w = ng.fock_wigner_t(2, 0.5, 0.0)
         with pytest.raises(nm.QuadratureError) as err:
@@ -422,3 +443,7 @@ class TestNegativePart:
             eval=lambda pts: ps.wigner_gaussian(state, pts),
             domain=((-9.0, 9.0), (-9.0, 9.0)))
         assert ng.wigner_purity(w) == pytest.approx(0.6, abs=1e-9)
+
+    def test_cat_purity_oracle_pinned_bit_for_bit(self):
+        w = ng.cat_wigner_t(ng.CatState(x0=(2.0, 0.0)), THERMAL, 0.2)
+        assert ng.wigner_purity(w, tol=1e-9).hex() == "0x1.e641c966ecc37p-2"

@@ -1,4 +1,5 @@
 import ast
+import itertools
 import math
 from pathlib import Path
 
@@ -136,9 +137,41 @@ class TestQuadrature:
             nm.integrate_phase_space(kinked, spec)
         assert not err.value.result.converged
         assert err.value.result.evaluations == sum(seen)
-        # the last rounds are split into calls of at most 2^18 points
+        # the last rounds are split into calls of at most _BATCH points
         assert len(seen) > spec.max_refinements + 1
-        assert max(seen) <= 2 ** 18
+        assert max(seen) <= nm._BATCH
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_panel_points_match_meshgrid_construction(self, d, monkeypatch):
+        # 2 panels per call of f and 5 per panel sum, so that rounds are
+        # split both ways
+        monkeypatch.setattr(nm, "_BATCH", 2 * 15 ** d)
+        monkeypatch.setattr(nm, "_SUMS", 5 * 15 ** d)
+        seen = []
+
+        def f(p):
+            seen.append(p.copy())
+            return np.cos(np.sum(p, axis=-1)) + 2.0
+
+        # every panel has a nonzero error, so every round splits them all
+        spec = nm.QuadratureSpec(((-1.3, 2.1), (-0.7, 0.4))[:d], tol=1e-300,
+                                 max_refinements=2)
+        with pytest.raises(nm.QuadratureError):
+            nm.integrate_phase_space(f, spec)
+        nodes = np.stack(np.meshgrid(*[nm._GK15_X] * d, indexing="ij"),
+                         axis=-1).reshape(-1, d)
+        signs = np.array(list(itertools.product((-1.0, 1.0), repeat=d)))
+        lo, hi = np.array(spec.extents).T
+        half, centers = 0.5 * (hi - lo), (0.5 * (lo + hi))[None, :]
+        expected = []
+        for _ in range(spec.max_refinements + 1):
+            expected.append((centers[:, None, :] + half * nodes).reshape(-1, d))
+            half = 0.5 * half
+            centers = (centers[:, None, :] + half * signs).reshape(-1, d)
+        assert max(len(p) for p in seen) == 2 * 15 ** d
+        assert (np.concatenate(seen).tobytes()
+                == np.concatenate(expected).tobytes())
+        assert not any(a.flags.writeable for a in nm._gk_rule(d))
 
     def test_single_level_rejected(self):
         # order escalation (d > 2) compares two orders
