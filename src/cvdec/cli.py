@@ -24,7 +24,6 @@ from typing import Callable
 
 import numpy as np
 
-from . import acceptance
 from . import channels as ch
 from . import nongaussian as ng
 from . import numerics as nm
@@ -58,14 +57,7 @@ class ResultTable:
     columns: list[str]
     rows: list[list[float]] = field(default_factory=list)
     paths: dict[str, str] = field(default_factory=dict)  # quantity -> path
-
-    def max_deviation(self) -> float | None:
-        diff_idx = [i for i, c in enumerate(self.columns)
-                    if c.endswith("_absdiff")]
-        if not diff_idx:
-            return None
-        return max((row[i] for row in self.rows for i in diff_idx),
-                   default=0.0)
+    max_deviation: float | None = None  # largest *_absdiff, if any
 
 
 def _require(cond: bool, message: str):
@@ -93,6 +85,22 @@ def _finite(x) -> bool:
         return False
 
 
+def _number(p: dict, key: str, default: float | None = None) -> float:
+    """p[key], or the default when it is absent, as a float.  It must be a
+    JSON number: float() would also parse a string such as "inf", and a
+    bool is an int to Python."""
+    x = p[key] if default is None else p.get(key, default)
+    _require(type(x) in (int, float), f"{key} must be a JSON number")
+    return float(x)
+
+
+def _integer(p: dict, key: str) -> int:
+    """p[key], which must be a JSON integer (not 2.5, "2" or true)."""
+    x = p[key]
+    _require(type(x) is int, f"{key} must be a JSON integer")
+    return x
+
+
 def parse_scenario(raw: dict) -> Scenario:
     _require(isinstance(raw, dict), "scenario must be a JSON object")
     _require(_finite(raw), "every number in the scenario must be finite")
@@ -114,20 +122,19 @@ def parse_scenario(raw: dict) -> Scenario:
                  "each bath needs explicit gamma and mu_inf")
         try:
             baths.append(ch.BathParams(
-                gamma=float(item["gamma"]), mu_inf=float(item["mu_inf"]),
-                r_inf=float(item.get("r_inf", 0.0)),
-                phi_inf=float(item.get("phi_inf", 0.0))))
+                gamma=_number(item, "gamma"), mu_inf=_number(item, "mu_inf"),
+                r_inf=_number(item, "r_inf", 0.0),
+                phi_inf=_number(item, "phi_inf", 0.0)))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"invalid bath parameters: {exc}") from exc
 
     grid = raw.get("grid")
     _require(isinstance(grid, dict), "a time grid is required")
     try:
-        start, stop = float(grid["start"]), float(grid["stop"])
-        points = grid["points"]
+        start, stop = _number(grid, "start"), _number(grid, "stop")
+        points = _integer(grid, "points")
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid time grid: {exc}") from exc
-    _require(type(points) is int, "grid points must be an integer")
     _require(points >= 1 and stop >= start >= 0.0,
              "grid needs points >= 1 and 0 <= start <= stop")
     spacing = grid.get("spacing", "linear")
@@ -165,25 +172,32 @@ def parse_scenario(raw: dict) -> Scenario:
 
 def _two_mode_initial(p: dict) -> tm.StandardForm:
     if "a" in p:
-        return tm.StandardForm(a=float(p["a"]), b=float(p["b"]),
-                               c1=float(p["c1"]), c2=float(p["c2"]))
-    return tm.SqueezedThermalParams(mu=float(p["mu"]),
-                                    r=float(p["r"])).standard_form
+        return tm.StandardForm(a=_number(p, "a"), b=_number(p, "b"),
+                               c1=_number(p, "c1"), c2=_number(p, "c2"))
+    return tm.SqueezedThermalParams(mu=_number(p, "mu"),
+                                    r=_number(p, "r")).standard_form
+
+
+def _cat_initial(p: dict) -> ng.CatState:
+    x0 = p["x0"]
+    _require(isinstance(x0, list)
+             and all(type(x) in (int, float) for x in x0),
+             "x0 must be a list of JSON numbers")
+    return ng.CatState(x0=np.asarray(x0, dtype=float),
+                       r0=_number(p, "r0", 0.0), theta=_number(p, "theta", 0.0))
 
 
 # kind -> parser of its initial parameters
 _INITIAL = {
     "single-gaussian": lambda p: ps.SingleModeParams(
-        mu=float(p["mu"]), r=float(p.get("r", 0.0)),
-        phi=float(p.get("phi", 0.0))),
-    "cat": lambda p: ng.CatState(
-        x0=np.asarray(p["x0"], dtype=float), r0=float(p.get("r0", 0.0)),
-        theta=float(p.get("theta", 0.0))),
-    "fock": lambda p: int(p["n"]),
-    "psi01": lambda p: float(p["vartheta"]),
+        mu=_number(p, "mu"), r=_number(p, "r", 0.0),
+        phi=_number(p, "phi", 0.0)),
+    "cat": _cat_initial,
+    "fock": lambda p: _integer(p, "n"),
+    "psi01": lambda p: _number(p, "vartheta"),
     "two-mode": _two_mode_initial,
     "fidelity": lambda p: tm.SqueezedThermalParams(
-        mu=float(p.get("mu", 1.0)), r=float(p["r"])),
+        mu=_number(p, "mu", 1.0), r=_number(p, "r")),
 }
 
 # Gaussian kind -> initial covariance matrix of its parsed initial state
@@ -257,8 +271,8 @@ def _two_mode_purity(g: _Grid) -> np.ndarray:
 
 
 def _spectral_two_mode_purity(g: _Grid) -> np.ndarray:
-    # 1/(4 ν₊ν₋), from the spectrum rather than from a determinant
-    nu = ps.symplectic_eigenvalues(g.state.cm)
+    # 1/(4 ν₊ν₋), from the state's spectrum rather than from a determinant
+    nu = ps.symplectic_eigenvalues(g.state)
     return 1.0 / (4.0 * nu[..., 0] * nu[..., 1])
 
 
@@ -352,27 +366,33 @@ _TABLE: dict[tuple[str, str], _Row] = {
 
 def run_scenario(s: Scenario) -> ResultTable:
     """Evaluate the scenario over its whole time grid: every closed-form
-    column, then every oracle column, each from one row of the table."""
+    column, then every oracle column, each from one row of the table.  A
+    row labelled "none" is evaluated once: its oracle column is its plain
+    column."""
     try:
         grid = _Grid(s, _INITIAL[s.kind](s.initial))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid {s.kind} parameters: {exc}") from exc
     rows = [_TABLE[(s.kind, q)] for q in s.quantities]
     plain = [np.asarray(row.closed(grid), dtype=float) for row in rows]
-    oracle = ([np.asarray(row.oracle(grid), dtype=float) for row in rows]
-              if s.oracle else [])
+    oracle = ([p if row.oracle is row.closed
+               else np.asarray(row.oracle(grid), dtype=float)
+               for row, p in zip(rows, plain)] if s.oracle else [])
+    diffs = [np.abs(p - o) for p, o in zip(plain, oracle)]
     columns, values = ["t"], [s.times]
     for i, q in enumerate(s.quantities):
         columns.append(q)
         values.append(plain[i])
         if s.oracle:
             columns.extend([f"{q}_oracle", f"{q}_absdiff"])
-            values.extend([oracle[i], np.abs(plain[i] - oracle[i])])
+            values.extend([oracle[i], diffs[i]])
     data = np.column_stack(values)
     if not np.all(np.isfinite(data)):
         raise ArithmeticError("non-finite entry in result table")
     paths = {q: row.path for q, row in zip(s.quantities, rows)}
-    return ResultTable(columns=columns, rows=data.tolist(), paths=paths)
+    worst = float(np.max(diffs)) if diffs else None
+    return ResultTable(columns=columns, rows=data.tolist(), paths=paths,
+                       max_deviation=worst)
 
 
 def emit(table: ResultTable, path: str):
@@ -405,7 +425,7 @@ def _cmd_run(args) -> int:
             OSError) as exc:
         print(f"numerical/IO failure: {exc}", file=sys.stderr)
         return 2
-    worst = table.max_deviation()
+    worst = table.max_deviation
     if worst is not None:
         print(f"max oracle deviation: {worst:.3e}")
         if args.tolerance is not None and worst > args.tolerance:
@@ -417,6 +437,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_selftest(_args) -> int:
+    from . import acceptance  # imported for selftest alone
+
     return 0 if acceptance.run_all(report=print) else 2
 
 

@@ -29,8 +29,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import special
-from scipy.integrate import quad
+from scipy import special  # scipy.integrate is imported where it is used
 
 from .channels import BathParams, _times, env_cm
 from .numerics import (
@@ -281,6 +280,8 @@ def _fock_purity_quad(n: int, bath: BathParams, t: float) -> float:
     def integrand(s):
         log_weight = -xi * s + (bessel_i0_log(beta * s) if beta > 0 else 0.0)
         return math.exp(log_weight) * special.eval_laguerre(n, s) ** 2
+
+    from scipy.integrate import quad
 
     upper = (2.0 * n + 40.0) / (xi - beta)
     value, err = quad(integrand, 0.0, upper, limit=200, epsabs=1e-13 * k, epsrel=1e-12)

@@ -17,8 +17,10 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import sparse, special
-from scipy.sparse.linalg import expm_multiply
+from scipy import special
+
+# scipy.sparse is imported by the master equation that uses it, so that a run
+# that needs none of it does not pay for its import
 
 __all__ = [
     "QuadratureSpec",
@@ -311,6 +313,8 @@ def default_truncation(n_bath: float, n_init: float) -> int:
 def _dissipator(o1, o2):
     # superoperator of rho -> 2 o1 rho o2 - o2 o1 rho - rho o2 o1 on the
     # row-major vec(rho), using vec(A rho B) = (A kron B^T) vec(rho)
+    from scipy import sparse
+
     eye = sparse.identity(o1.shape[0], format="csr")
     o21 = o2 @ o1
     return (2.0 * sparse.kron(o1, o2.T) - sparse.kron(o21, eye)
@@ -324,6 +328,8 @@ def _lindbladian(dim, gamma, N, M):
     # The conjugate-pair signs on the D terms are forced jointly by
     # Hermiticity preservation and by the fixed point <aa> -> M of the
     # equivalent characteristic-function diffusion equation.
+    from scipy import sparse
+
     a = sparse.csr_matrix(fock_destroy(dim))
     ad = a.conj().T
     gen = N * _dissipator(ad, a) + (N + 1.0) * _dissipator(a, ad)
@@ -353,6 +359,8 @@ def _trajectory(rho0: TruncatedDensityMatrix, gamma: float, N: float,
         raise ValueError("times must be ascending and nonnegative")
     if abs(M) ** 2 > N * (N + 1.0) + 1e-12:
         raise ValueError("unphysical bath: |M|^2 > N(N+1)")
+    from scipy.sparse.linalg import expm_multiply
+
     dim = rho0.dim
     gen = _lindbladian(dim, gamma, N, M)
     vec = rho0.matrix.ravel()

@@ -13,6 +13,7 @@ reduces to 1/(2ⁿ √Det σ).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -67,16 +68,23 @@ def symplectic_form(n: int) -> np.ndarray:
 
 # The functions below take one covariance matrix (2n, 2n) or a stack of
 # them (..., 2n, 2n), and their checks hold for every matrix of a stack.  The
-# measures also take a GaussianState, checked when it was built, not again.
+# measures also take a GaussianState, checked when it was built, not again,
+# and diagonalised at most once.
 
-def symplectic_eigenvalues(cm) -> np.ndarray:
-    """Symplectic spectrum: the n positive moduli of the eigenvalues of iΩσ,
-    in descending order."""
-    m = _as_cm(cm)
+def _spectrum(m: np.ndarray) -> np.ndarray:
     n = m.shape[-1] // 2
     eigs = np.linalg.eigvals(1j * symplectic_form(n) @ m)
     mods = np.sort(np.abs(eigs), axis=-1)[..., ::-1]
     return mods[..., ::2].copy()
+
+
+def symplectic_eigenvalues(cm) -> np.ndarray:
+    """Symplectic spectrum: the n positive moduli of the eigenvalues of iΩσ,
+    in descending order.  A GaussianState gives its cached, read-only
+    ``spectrum``."""
+    if isinstance(cm, GaussianState):
+        return cm.spectrum
+    return _spectrum(_as_cm(cm))
 
 
 def check_physical(cm) -> bool:
@@ -126,8 +134,9 @@ def entropy_function(x) -> np.ndarray:
 
 def von_neumann_entropy(cm):
     """S_V = Σ f(ν_i) in nats; 0 for pure states."""
-    m = require_physical(cm)
-    nus = np.maximum(symplectic_eigenvalues(m), 0.5)
+    if not isinstance(cm, GaussianState):
+        cm = require_physical(cm)
+    nus = np.maximum(symplectic_eigenvalues(cm), 0.5)
     return np.sum(entropy_function(nus), axis=-1)[()]
 
 
@@ -189,7 +198,9 @@ def params_from_cm(cm) -> SingleModeParams:
 @dataclass(frozen=True)
 class GaussianState:
     """First moments and covariance matrix of an n-mode Gaussian state, or
-    a stack of states: ``mean`` (..., 2n) and ``cm`` (..., 2n, 2n)."""
+    a stack of states: ``mean`` (..., 2n) and ``cm`` (..., 2n, 2n).  ``cm``
+    is checked once, when the state is built, and is read-only; its
+    symplectic spectrum ``spectrum`` (..., n) is computed on first use."""
 
     mean: np.ndarray
     cm: np.ndarray
@@ -199,8 +210,16 @@ class GaussianState:
         mean = np.asarray(self.mean, dtype=float).reshape(cm.shape[:-2] + (-1,))
         if mean.shape[-1] != cm.shape[-1]:
             raise ValueError("first-moment vector length must match the CM")
+        cm.flags.writeable = False
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cm", cm)
+
+    @functools.cached_property
+    def spectrum(self) -> np.ndarray:
+        """Symplectic spectrum of ``cm``, descending; read-only."""
+        nus = _spectrum(self.cm)
+        nus.flags.writeable = False
+        return nus
 
     @property
     def n_modes(self) -> int:

@@ -21,8 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-from scipy.optimize import brentq
+import numpy as np  # scipy.optimize is imported where it is used
 
 from .channels import ChannelSpec, _exp, _times, evolve_moments
 from .phase_space import (
@@ -354,6 +353,8 @@ def entanglement_time(sf0: StandardForm, ch: ChannelSpec) -> float | None:
         t_lo, t_hi = t_hi, 1.7 * t_hi
     else:
         return None
+    from scipy.optimize import brentq
+
     t_star = float(brentq(g, t_lo, t_hi, xtol=1e-14, rtol=1e-15))
     # reject rounding-level crossings (e.g. pure baths, where nu_minus only
     # reaches 1/2 asymptotically): the state must be strictly separable a

@@ -69,6 +69,12 @@ class TestParsing:
         {"grid": {"start": 0.0, "stop": 2.0, "points": 3.5}},
         {"grid": {"start": 0.0, "stop": 2.0, "points": True}},
         {"grid": {"start": 0.0, "stop": 2.0, "points": "3"}},
+        # numbers must be JSON numbers: float() parses these strings
+        {"baths": [{"gamma": "inf", "mu_inf": 0.5}]},
+        {"baths": [{"gamma": 1.0, "mu_inf": "0.5"}]},
+        {"baths": [{"gamma": 1.0, "mu_inf": 0.5, "r_inf": True}]},
+        {"grid": {"start": 0.0, "stop": "inf", "points": 5}},
+        {"grid": {"start": False, "stop": 2.0, "points": 5}},
     ])
     def test_invalid_configs_rejected(self, mutation):
         with pytest.raises(cli.ConfigError):
@@ -89,14 +95,14 @@ class TestRunScenario:
         table = cli.run_scenario(cli.parse_scenario(_single_config()))
         assert table.columns == ["t", "purity", "entropy", "tau"]
         assert len(table.rows) == 5
-        assert table.max_deviation() is None
+        assert table.max_deviation is None
 
     def test_columns_with_oracle(self):
         table = cli.run_scenario(cli.parse_scenario(
             _single_config(oracle=True, quantities=["purity"])))
         assert table.columns == ["t", "purity", "purity_oracle",
                                  "purity_absdiff"]
-        assert table.max_deviation() < 1e-9
+        assert table.max_deviation < 1e-9
 
     def test_initial_row_values(self):
         table = cli.run_scenario(cli.parse_scenario(_single_config()))
@@ -170,10 +176,28 @@ class TestEndToEnd:
         {"initial": {"mu": 0.8, "r": math.nan}},
         {"baths": [{"gamma": 10 ** 400, "mu_inf": 0.5}]},
         {"grid": {"start": 0.0, "stop": -10 ** 400, "points": 5}},
+        # strings that float() parses, and bools, are not JSON numbers
+        {"baths": [{"gamma": "inf", "mu_inf": 0.5}]},
+        {"grid": {"start": 0.0, "stop": "inf", "points": 5}},
+        {"initial": {"mu": 0.8, "r": "nan"}},
+        {"initial": {"mu": True}},
+        {"kind": "psi01", "initial": {"vartheta": "nan"},
+         "quantities": ["purity"]},
+        {"kind": "cat", "initial": {"x0": ["nan", 0]},
+         "quantities": ["purity"]},
+        {"kind": "cat", "initial": {"x0": [1.0, 0.0], "r0": "0"},
+         "quantities": ["purity"]},
+        {"kind": "two-mode", "initial": {"mu": 0.8, "r": "0.5"},
+         "baths": [{"gamma": 1.0, "mu_inf": 0.5}] * 2,
+         "quantities": ["purity"]},
+        # the photon number must be a JSON integer
+        {"kind": "fock", "initial": {"n": 2.5}, "quantities": ["purity"]},
+        {"kind": "fock", "initial": {"n": True}, "quantities": ["purity"]},
+        {"kind": "fock", "initial": {"n": "2"}, "quantities": ["purity"]},
     ])
     def test_non_finite_number_is_config_error(self, tmp_path, mutation):
         # json writes and reads these as NaN, Infinity and integers beyond
-        # the float range
+        # the float range, or as strings and bools
         cfg = _write(tmp_path, "bad.json", _single_config(**mutation))
         out = tmp_path / "out.csv"
         assert cli.main(["run", cfg, "--out", str(out)]) == 1
@@ -511,6 +535,78 @@ def test_evolved_stack_checked_once(kind, monkeypatch):
     monkeypatch.setattr(ps, "check_physical", counted)
     cli.run_scenario(s)
     assert shapes.count((len(s.times), dim, dim)) == 1
+
+
+@pytest.mark.parametrize("kind", ["single-gaussian", "two-mode", "fidelity"])
+def test_spectrum_computed_once(kind, monkeypatch):
+    # complex diagonalisations of an --oracle run, per stack shape: the
+    # evolved state's spectrum once, the mirrored matrix and the two local
+    # blocks of the mutual information once each, and nothing for the
+    # invariants-only fidelity kind
+    s = cli.parse_scenario(dict(_KIND_CONFIGS[kind], oracle=True))
+    T = len(s.times)
+    expected = {"single-gaussian": {(T, 2, 2): 1},
+                "two-mode": {(T, 4, 4): 2, (T, 2, 2): 2},
+                "fidelity": {}}[kind]
+    shapes = []
+    eigvals = np.linalg.eigvals
+
+    def counted(a):
+        if np.iscomplexobj(a):
+            shapes.append(np.shape(a))
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    cli.run_scenario(s)
+    assert {sh: shapes.count(sh) for sh in set(shapes)} == expected
+
+
+_NONE_ROWS = sorted(key for key, row in cli._TABLE.items()
+                    if row.path == "none")
+
+
+@pytest.mark.parametrize("kind,quantity", _NONE_ROWS)
+def test_none_row_evaluated_once(kind, quantity, monkeypatch):
+    # a row whose oracle is its closed form is computed once per --oracle
+    # run, and its oracle column is its plain column
+    row = cli._TABLE[(kind, quantity)]
+    calls = []
+
+    def counted(g):
+        calls.append(1)
+        return row.closed(g)
+
+    monkeypatch.setitem(cli._TABLE, (kind, quantity), cli._repeated(counted))
+    s = cli.parse_scenario(dict(_KIND_CONFIGS[kind], oracle=True,
+                                quantities=[quantity]))
+    table = cli.run_scenario(s)
+    assert len(calls) == 1
+    cols = table.columns
+    for r in table.rows:
+        assert r[cols.index(f"{quantity}_oracle")] == r[cols.index(quantity)]
+        assert r[cols.index(f"{quantity}_absdiff")] == 0.0
+    assert table.max_deviation == 0.0
+
+
+def test_max_deviation_is_largest_absdiff():
+    s = cli.parse_scenario(dict(_KIND_CONFIGS["two-mode"], oracle=True))
+    table = cli.run_scenario(s)
+    diff = [i for i, c in enumerate(table.columns) if c.endswith("_absdiff")]
+    assert table.max_deviation == max(r[i] for r in table.rows for i in diff)
+    assert table.max_deviation > 0.0
+
+
+def test_import_loads_only_what_a_run_uses():
+    # a Gaussian run needs neither the sparse master equation, nor
+    # quadrature, nor root finding, nor the acceptance suite
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys, cvdec.cli; print(' '.join(m for m in "
+            "('scipy.sparse', 'scipy.sparse.linalg', 'scipy.integrate', "
+            "'scipy.optimize', 'cvdec.acceptance') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == []
 
 
 def test_unphysical_matrix_in_stack_raises():

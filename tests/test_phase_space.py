@@ -53,6 +53,26 @@ class TestSymplectic:
         with pytest.raises(ValueError):
             ps.symplectic_eigenvalues(np.array([[1.0, 0.3], [0.0, 1.0]]))
 
+    def test_state_spectrum_cached_and_read_only(self):
+        # a state is diagonalised once, and neither its matrix nor its
+        # spectrum can change under the cache
+        cms = np.stack([ps.random_physical_cm(2, RNG) for _ in range(5)])
+        state = ps.GaussianState(np.zeros((5, 4)), cms)
+        assert not state.cm.flags.writeable
+        assert not state.spectrum.flags.writeable
+        with pytest.raises(ValueError):
+            state.cm[0, 0, 0] = 1.0
+        with pytest.raises(ValueError):
+            state.spectrum[0, 0] = 1.0
+        assert ps.symplectic_eigenvalues(state) is state.spectrum
+        raw = ps.symplectic_eigenvalues(state.cm)
+        assert raw.flags.writeable
+        assert raw.tobytes() == state.spectrum.tobytes()
+        assert np.array_equal(ps.von_neumann_entropy(state),
+                              ps.von_neumann_entropy(state.cm))
+        # the caller's array is copied, not frozen
+        assert cms.flags.writeable
+
 
 class TestScalarFunctionals:
     def test_vacuum_is_pure_and_zero_entropy(self):
