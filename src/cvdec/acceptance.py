@@ -148,8 +148,7 @@ def criterion_5() -> tuple[bool, str]:
         ))
         t = rng.uniform(0.0, 3.0)
         poly = tm.coefficient_set(sf, chan).at(math.exp(-g * t))
-        state = ps.GaussianState(np.zeros(4), tm.standard_form_to_cm(sf))
-        direct = tm.invariants(ch.evolve_moments(state, chan, t).cm)
+        direct = tm.invariants(ch.evolve_moments(sf.state, chan, t).cm)
         for field in ("det_sigma", "det_alpha", "det_beta", "det_gamma"):
             worst = max(worst, abs(getattr(poly, field) - getattr(direct, field)))
     return worst < 1e-10, f"50 draws; worst |polynomial - determinant| = {worst:.2e} (allowed 1e-10)"
@@ -166,9 +165,7 @@ def criterion_6() -> tuple[bool, str]:
             t_q = tm.entanglement_time(params.standard_form, chan)
             t_c = tm.entanglement_time_symmetric(params, mu_inf, 1.0)
             worst_t = max(worst_t, abs(t_q - t_c))
-            state = ps.GaussianState(
-                np.zeros(4), tm.standard_form_to_cm(params.standard_form))
-            cm_t = ch.evolve_moments(state, chan, t_q).cm
+            cm_t = ch.evolve_moments(params.standard_form.state, chan, t_q).cm
             nu = tm.ppt_symplectic_eigenvalues(cm_t)[0]
             worst_nu = max(worst_nu, abs(nu - 0.5))
             worst_f = max(worst_f, abs(tm.teleportation_fidelity(cm_t) - 0.5))
@@ -188,7 +185,7 @@ def criterion_7() -> tuple[bool, str]:
         nu = math.exp(-2.0 * params.r) / (2.0 * math.sqrt(params.mu))
         e_n = max(0.0, -math.log(2.0 * nu))
         worst = max(worst, abs(e_n - 2.0 * float(r)))
-    cm = tm.standard_form_to_cm(tm.SqueezedThermalParams(mu=1.0, r=1.0).standard_form)
+    cm = tm.SqueezedThermalParams(mu=1.0, r=1.0).standard_form.state.cm
     target = 2.0 * float(ps.entropy_function(math.cosh(2.0) / 2.0))
     d_i = abs(tm.mutual_information(cm) - target)
     ok = worst < 1e-12 and d_i < 1e-10
@@ -228,8 +225,7 @@ def criterion_9() -> tuple[bool, str]:
         r_b = rng.uniform(0.1, 0.8)
         phi2 = rng.choice([0.0, np.pi / 4])
         t = rng.uniform(0.05, 2.0)
-        state = ps.GaussianState(
-            np.zeros(4), tm.standard_form_to_cm(params.standard_form))
+        state = params.standard_form.state
 
         def en(r_inf, phi):
             chan = ch.ChannelSpec((
@@ -283,9 +279,8 @@ def criterion_10() -> tuple[bool, str]:
         sf = _random_standard_form(rng)
         chan = ch.ChannelSpec.uniform(
             ch.BathParams(gamma=1.0, mu_inf=rng.uniform(0.2, 1.0)), 2)
-        state = ps.GaussianState(np.zeros(4), tm.standard_form_to_cm(sf))
         for t in rng.uniform(0.0, 4.0, size=4):
-            cm = ch.evolve_moments(state, chan, float(t)).cm
+            cm = ch.evolve_moments(sf.state, chan, float(t)).cm
             if tm.log_negativity(cm) < 0.0:
                 failures.append("E_N < 0")
             if tm.mutual_information(cm) < 0.0:

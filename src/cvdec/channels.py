@@ -28,7 +28,6 @@ import numpy as np
 from .phase_space import (
     GaussianState,
     SingleModeParams,
-    cm_from_params,
     params_from_cm,
     symplectic_form,
 )
@@ -118,12 +117,6 @@ def nm_from_bath(b: BathParams) -> tuple[float, complex]:
     return n, complex(m)
 
 
-# math.exp elementwise.  np.exp rounds differently in the last bit for a
-# few percent of arguments; math.exp keeps the evolved covariance matrices,
-# and so the CSV bytes, as cvdec has written them.
-_exp = np.vectorize(math.exp, otypes=[float])
-
-
 def _times(t) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
@@ -138,7 +131,7 @@ def gamma_matrix(ch: ChannelSpec, t) -> np.ndarray:
     rates = np.repeat([-0.5 * b.gamma for b in ch.baths], 2)
     out = np.zeros(t.shape + (rates.size, rates.size))
     idx = np.arange(rates.size)
-    out[..., idx, idx] = _exp(np.multiply.outer(t, rates))
+    out[..., idx, idx] = np.exp(np.multiply.outer(t, rates))
     return out
 
 
@@ -150,7 +143,7 @@ def sigma_inf_t(ch: ChannelSpec, t) -> np.ndarray:
     out = np.zeros(t.shape + (2 * n, 2 * n))
     for i, b in enumerate(ch.baths):
         out[..., 2 * i: 2 * i + 2, 2 * i: 2 * i + 2] = \
-            env_cm(b) * (1.0 - _exp(-b.gamma * t))[..., None, None]
+            env_cm(b) * (1.0 - np.exp(-b.gamma * t))[..., None, None]
     return out
 
 
@@ -181,7 +174,7 @@ def gaussian_map_check(xm, ym) -> bool:
 # ---------------------------------------------------------------------------
 
 def single_mode_purity_t(init: SingleModeParams, bath: BathParams, t):
-    """Evolved purity μ(t) in closed form (vectorized over t)."""
+    """Evolved purity μ(t) in closed form, elementwise over an array t."""
     t = _times(t)
     k = np.exp(-bath.gamma * t)
     mu0, mui = init.mu, bath.mu_inf
@@ -278,10 +271,7 @@ def t_nc(bath: BathParams) -> float:
     return t_pos(bath)
 
 
-# convenience re-exports used by higher layers ------------------------------
-
 def evolved_params(init: SingleModeParams, bath: BathParams, t: float) -> SingleModeParams:
     """params_from_cm(evolve_moments(...)) for a centered single-mode input."""
-    state = GaussianState(np.zeros(2), cm_from_params(init))
-    out = evolve_moments(state, ChannelSpec((bath,)), t)
+    out = evolve_moments(GaussianState.from_params(init), ChannelSpec((bath,)), t)
     return params_from_cm(out.cm)

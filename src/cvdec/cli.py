@@ -151,18 +151,22 @@ def parse_scenario(raw: dict) -> Scenario:
     _require(isinstance(quantities, list) and
              all(q in known for q in quantities),
              f"quantities must be a list drawn from {known}")
+    _require(len(set(quantities)) == len(quantities),
+             "quantities must not repeat")
     bad = [q for q in quantities if (kind, q) not in _TABLE]
     _require(not bad, f"quantities {bad} not defined for kind {kind!r}")
     _require(not (kind == "fock" and "xi" in quantities
                   and not baths[0].is_thermal),
              "xi for Fock states requires a thermal bath")
+    oracle = raw.get("oracle", False)
+    _require(type(oracle) is bool, "oracle must be a JSON boolean")
     if kind == "single-gaussian" and "xi" in quantities:
         print("warning: xi of a Gaussian state is identically 0",
               file=sys.stderr)
 
     return Scenario(kind=kind, initial=dict(initial), baths=tuple(baths),
                     times=times, quantities=tuple(quantities),
-                    oracle=bool(raw.get("oracle", False)))
+                    oracle=oracle)
 
 
 # ---------------------------------------------------------------------------
@@ -200,11 +204,11 @@ _INITIAL = {
         mu=_number(p, "mu", 1.0), r=_number(p, "r")),
 }
 
-# Gaussian kind -> initial covariance matrix of its parsed initial state
-_INITIAL_CM = {
-    "single-gaussian": ps.cm_from_params,
-    "two-mode": tm.standard_form_to_cm,
-    "fidelity": lambda p: tm.standard_form_to_cm(p.standard_form),
+# Gaussian kind -> checked initial state of its parsed initial parameters
+_INITIAL_STATE = {
+    "single-gaussian": ps.GaussianState.from_params,
+    "two-mode": lambda sf: sf.state,
+    "fidelity": lambda p: p.standard_form.state,
 }
 
 
@@ -227,8 +231,7 @@ class _Grid:
     @functools.cached_property
     def state(self) -> ps.GaussianState:
         """Evolved states, checked once: a (T, 2n, 2n) stack of matrices."""
-        cm0 = _INITIAL_CM[self.s.kind](self.init)
-        state = ps.GaussianState(np.zeros(len(cm0)), cm0)
+        state = _INITIAL_STATE[self.s.kind](self.init)
         return ch.evolve_moments(state, self.s.channel, self.t)
 
 
@@ -258,15 +261,19 @@ def _single_entropy(g: _Grid) -> np.ndarray:
 
 
 def _mirrored_log_negativity(g: _Grid) -> np.ndarray:
-    # symplectic spectrum of the mirror-reflected covariance matrix; the log
-    # is math.log elementwise, as in tm.log_negativity
+    # symplectic spectrum of the mirror-reflected covariance matrix
     mirror = np.diag([1.0, 1.0, 1.0, -1.0])
     nu = np.min(ps.symplectic_eigenvalues(mirror @ g.state.cm @ mirror), axis=-1)
-    return np.maximum(0.0, -np.vectorize(math.log, otypes=[float])(2.0 * nu))
+    return np.maximum(0.0, -np.log(2.0 * nu))
 
 
 def _two_mode_purity(g: _Grid) -> np.ndarray:
-    inv = tm.evolved_invariants(g.init, g.s.channel, g.t)
+    # 1/(4√Det σ): Det σ from the coefficient polynomials where they apply,
+    # else from the evolved state
+    try:
+        inv = tm.evolved_invariants(g.init, g.s.channel, g.t)
+    except ValueError:
+        return ps.purity_gaussian(g.state)
     return 1.0 / (4.0 * np.sqrt(inv.det_sigma))
 
 

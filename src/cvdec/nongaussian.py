@@ -31,7 +31,7 @@ from typing import Callable
 import numpy as np
 from scipy import special  # scipy.integrate is imported where it is used
 
-from .channels import BathParams, _times, env_cm
+from .channels import BathParams, ChannelSpec, _times, env_cm, sigma_inf_t
 from .numerics import (
     QuadratureError,
     QuadratureResult,
@@ -223,9 +223,8 @@ def _check_fock(n: int, mu_inf: float = 1.0):
 
 def _sigma_inf_char(bath: BathParams, t) -> np.ndarray:
     """Additive noise matrix as it enters the characteristic function:
-    Ωᵀ σ∞ Ω (1 - e^{-γt}); a (..., 2, 2) stack for an array of times."""
-    s = env_cm(bath) * (1.0 - np.exp(-bath.gamma * _times(t)))[..., None, None]
-    return _OMEGA.T @ s @ _OMEGA
+    Ωᵀ σ∞(t) Ω; a (..., 2, 2) stack for an array of times."""
+    return _OMEGA.T @ sigma_inf_t(ChannelSpec((bath,)), t) @ _OMEGA
 
 
 def fock_char_t(n: int, bath: BathParams, t: float) -> Callable[[np.ndarray], np.ndarray]:

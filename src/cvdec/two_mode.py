@@ -18,12 +18,13 @@ the direct determinants of :func:`cvdec.channels.evolve_moments`.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np  # scipy.optimize is imported where it is used
 
-from .channels import ChannelSpec, _exp, _times, evolve_moments
+from .channels import ChannelSpec, _times, evolve_moments
 from .phase_space import (
     GaussianState,
     require_physical,
@@ -35,7 +36,6 @@ __all__ = [
     "TwoModeInvariants",
     "SqueezedThermalParams",
     "CoefficientSet",
-    "standard_form_to_cm",
     "invariants",
     "ppt_symplectic_eigenvalues",
     "log_negativity",
@@ -55,7 +55,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class StandardForm:
-    """Normal form (a, b, c1, c2) of a two-mode covariance matrix."""
+    """Normal form (a, b, c1, c2) of a two-mode covariance matrix, and the
+    centred Gaussian ``state`` it describes, checked once when built."""
 
     a: float
     b: float
@@ -67,7 +68,16 @@ class StandardForm:
             raise ValueError("local variances must be at least 1/2")
         if abs(self.c2) < abs(self.c1) - 1e-12:
             raise ValueError("canonical ordering requires |c2| >= |c1|")
-        standard_form_to_cm(self)  # raises unless physical
+        self.state  # raises unless physical
+
+    @functools.cached_property
+    def state(self) -> GaussianState:
+        return GaussianState(np.zeros(4), np.array([
+            [self.a, 0.0, self.c1, 0.0],
+            [0.0, self.a, 0.0, self.c2],
+            [self.c1, 0.0, self.b, 0.0],
+            [0.0, self.c2, 0.0, self.b],
+        ]))
 
     @property
     def symmetric(self) -> bool:
@@ -113,21 +123,9 @@ class SqueezedThermalParams:
         return StandardForm(a=a, b=a, c1=c, c2=-c)
 
 
-def standard_form_to_cm(sf: StandardForm) -> np.ndarray:
-    return require_physical(np.array([
-        [sf.a, 0.0, sf.c1, 0.0],
-        [0.0, sf.a, 0.0, sf.c2],
-        [sf.c1, 0.0, sf.b, 0.0],
-        [0.0, sf.c2, 0.0, sf.b],
-    ]))
-
-
 # The functions below take one 4x4 covariance matrix, a stack (..., 4, 4)
 # of them or a GaussianState, and return one value per matrix.  Their checks
 # hold for every matrix of a stack; a GaussianState is not checked again.
-
-# math.log elementwise, for the same reason as channels._exp
-_log = np.vectorize(math.log, otypes=[float])
 
 
 def _blocks(cm):
@@ -158,7 +156,12 @@ def ppt_symplectic_eigenvalues(cm):
     if np.any(disc < -1e-12):
         raise ArithmeticError("negative PPT discriminant beyond tolerance")
     root = np.sqrt(np.maximum(disc, 0.0))
-    nu_minus = np.sqrt(np.maximum(0.5 * (dt - root), 0.0))
+    half_minus = 0.5 * (dt - root)
+    # every physical σ has ν̃₋ > 0; 0 here means Δ̃ - √(Δ̃² - 4 Det σ) lost
+    # all its digits to cancellation, as for a pure state squeezed r ≳ 5
+    if np.any(half_minus <= 0.0):
+        raise ArithmeticError("nu_minus cancelled to 0 in the PPT spectrum")
+    nu_minus = np.sqrt(half_minus)
     nu_plus = np.sqrt(0.5 * (dt + root))
     return nu_minus[()], nu_plus[()]
 
@@ -166,7 +169,7 @@ def ppt_symplectic_eigenvalues(cm):
 def log_negativity(cm):
     """E_N = max(0, -ln 2ν̃₋)."""
     nu_minus, _ = ppt_symplectic_eigenvalues(cm)
-    return np.maximum(0.0, -_log(2.0 * nu_minus))[()]
+    return np.maximum(0.0, -np.log(2.0 * nu_minus))[()]
 
 
 def is_separable(cm, tol: float = 1e-12) -> bool:
@@ -303,17 +306,12 @@ def coefficient_set(sf: StandardForm, ch: ChannelSpec) -> CoefficientSet:
 
 
 def evolved_invariants(sf0: StandardForm, ch: ChannelSpec, t) -> TwoModeInvariants:
-    """Invariants of the evolved state, by coefficient polynomials when the
-    couplings are equal (and bath 1 is in the zero-angle gauge), otherwise by
-    direct determinants of the evolved covariance matrix.  An array of times
-    gives arrays of invariants."""
+    """Invariants of the evolved state by the coefficient polynomials; an
+    array of times gives arrays of invariants.  Raises ValueError where
+    :func:`coefficient_set` does: unequal couplings, or bath 1 outside the
+    zero-angle gauge."""
     t = _times(t)
-    try:
-        coeff = coefficient_set(sf0, ch)
-    except ValueError:
-        state = GaussianState(np.zeros(4), standard_form_to_cm(sf0))
-        return invariants(evolve_moments(state, ch, t))
-    return coeff.at(_exp(-ch.baths[0].gamma * t))
+    return coefficient_set(sf0, ch).at(np.exp(-ch.baths[0].gamma * t))
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +327,7 @@ def entanglement_time(sf0: StandardForm, ch: ChannelSpec) -> float | None:
     couplings are equal and from 1/γ otherwise, and is then found by Brent's
     method.
     """
-    state = GaussianState(np.zeros(4), standard_form_to_cm(sf0))
+    state = sf0.state
     if is_separable(state):
         raise ValueError("initial state is separable")
     gamma = ch.baths[0].gamma
@@ -402,7 +400,7 @@ def entanglement_time_bounds(sf: StandardForm, mu_inf_global: float,
 # ---------------------------------------------------------------------------
 
 def two_mode_tau_t(initial, ch: ChannelSpec, t):
-    """Evolved nonclassical depth (closed form, vectorized over t).
+    """Evolved nonclassical depth (closed form, elementwise over an array t).
 
     Accepts either a :class:`StandardForm` in equal thermal baths or
     :class:`SqueezedThermalParams` in equal (possibly squeezed, zero-angle)

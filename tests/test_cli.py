@@ -75,6 +75,12 @@ class TestParsing:
         {"baths": [{"gamma": 1.0, "mu_inf": 0.5, "r_inf": True}]},
         {"grid": {"start": 0.0, "stop": "inf", "points": 5}},
         {"grid": {"start": False, "stop": 2.0, "points": 5}},
+        # bool("false") is True: the oracle flag must be a JSON boolean
+        {"oracle": "false"},
+        {"oracle": "no"},
+        {"oracle": 1},
+        # a repeated quantity would repeat a CSV header
+        {"quantities": ["purity", "purity"]},
     ])
     def test_invalid_configs_rejected(self, mutation):
         with pytest.raises(cli.ConfigError):
@@ -345,6 +351,22 @@ class TestEndToEnd:
         absdiff = [r[header.index("purity_absdiff")] for r in rows]
         assert 0.0 < max(absdiff) < 1e-9
 
+    def test_cancelled_ppt_spectrum_exits_2(self, tmp_path, capsys):
+        # a pure state squeezed r = 6 loses nu_minus to cancellation at t = 0:
+        # a numerical failure, not a traceback, an infinite E_N or F = 1
+        cfg = _write(tmp_path, "tm.json", {
+            "kind": "two-mode",
+            "initial": {"mu": 1.0, "r": 6.0},
+            "baths": [{"gamma": 1.0, "mu_inf": 0.5}] * 2,
+            "grid": {"start": 0.0, "stop": 1.0, "points": 3},
+            "quantities": ["logneg", "fidelity"],
+        })
+        out = tmp_path / "out.csv"
+        assert cli.main(["run", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "numerical/IO failure" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_fidelity_run(self, tmp_path):
         cfg = _write(tmp_path, "fid.json", {
             "kind": "fidelity",
@@ -428,6 +450,13 @@ _KIND_CONFIGS = {
                  "grid": {"start": 0.0, "stop": 2.0, "points": 6},
                  "quantities": ["purity", "entropy", "tau", "logneg",
                                 "mutual-info", "fidelity"]},
+    # no coefficient expansion: the purity is the evolved state's determinant
+    "two-mode-unequal": {"kind": "two-mode",
+                         "initial": {"a": 1.2, "b": 1.0, "c1": 0.5, "c2": -0.7},
+                         "baths": [_THERMAL, _BATH],
+                         "grid": {"start": 0.0, "stop": 2.0, "points": 6},
+                         "quantities": ["purity", "entropy", "tau", "logneg",
+                                        "mutual-info", "fidelity"]},
     "fidelity": {"kind": "fidelity", "initial": {"mu": 0.9, "r": 0.8},
                  "baths": [_THERMAL, _THERMAL],
                  "grid": {"start": 0.0, "stop": 2.0, "points": 6},
@@ -478,11 +507,12 @@ def _pointwise(s, t):
             out["xi"] = (ng.fock_xi_t(n, bath.mu_inf, t, bath.gamma),
                          ng.negative_part(w, tol=1e-8).xi)
         return out
-    params = tm.SqueezedThermalParams(init["mu"], init["r"])
-    sf = params.standard_form
-    cm = ch.evolve_moments(ps.GaussianState(np.zeros(4),
-                                            tm.standard_form_to_cm(sf)),
-                           s.channel, t).cm
+    if "a" in init:
+        sf = tm.StandardForm(init["a"], init["b"], init["c1"], init["c2"])
+    else:
+        params = tm.SqueezedThermalParams(init["mu"], init["r"])
+        sf = params.standard_form
+    cm = ch.evolve_moments(sf.state, s.channel, t).cm
     mirror = np.diag([1.0, 1.0, 1.0, -1.0])
     nu = np.min(ps.symplectic_eigenvalues(mirror @ cm @ mirror))
     logneg = tm.log_negativity(cm)
@@ -490,11 +520,14 @@ def _pointwise(s, t):
         return {"fidelity": (tm.fidelity_t(params, s.channel, t),
                              tm.teleportation_fidelity(cm)),
                 "logneg": (logneg, logneg)}
-    det_sigma = tm.evolved_invariants(sf, s.channel, t).det_sigma
+    if s.channel.equal_couplings:
+        det_sigma = tm.evolved_invariants(sf, s.channel, t).det_sigma
+        purity = 1.0 / (4.0 * math.sqrt(det_sigma))
+    else:
+        purity = ps.purity_gaussian(cm)
     same = lambda f: (f(cm), f(cm))  # noqa: E731
     nu_plus, nu_minus = ps.symplectic_eigenvalues(cm)
-    return {"purity": (1.0 / (4.0 * math.sqrt(det_sigma)),
-                       1.0 / (4.0 * nu_plus * nu_minus)),
+    return {"purity": (purity, 1.0 / (4.0 * nu_plus * nu_minus)),
             "entropy": same(ps.von_neumann_entropy),
             "tau": same(ps.nonclassical_depth_gaussian),
             "logneg": (logneg, max(0.0, -math.log(2.0 * nu))),
@@ -519,12 +552,16 @@ def test_table_matches_pointwise_functions(kind):
                 assert cols[f"{q}_oracle"][i] == oracle, (q, t)
 
 
-@pytest.mark.parametrize("kind", ["single-gaussian", "two-mode", "fidelity"])
+_GAUSSIAN_KINDS = ["single-gaussian", "two-mode", "two-mode-unequal",
+                   "fidelity"]
+
+
+@pytest.mark.parametrize("kind", _GAUSSIAN_KINDS)
 def test_evolved_stack_checked_once(kind, monkeypatch):
     # the evolved GaussianState is checked when built; the columns computed
     # from it do not check its (T, 2n, 2n) stack again
     s = cli.parse_scenario(dict(_KIND_CONFIGS[kind], oracle=True))
-    dim = 4 if kind in ("two-mode", "fidelity") else 2
+    dim = 2 if kind == "single-gaussian" else 4
     shapes = []
     check = ps.check_physical
 
@@ -537,7 +574,31 @@ def test_evolved_stack_checked_once(kind, monkeypatch):
     assert shapes.count((len(s.times), dim, dim)) == 1
 
 
-@pytest.mark.parametrize("kind", ["single-gaussian", "two-mode", "fidelity"])
+@pytest.mark.parametrize("kind", ["two-mode", "two-mode-unequal", "fidelity"])
+def test_initial_state_checked_and_evolved_once(kind, monkeypatch):
+    # the initial 4x4 matrix is checked once, by its StandardForm, and the
+    # state is evolved once, whatever the couplings
+    s = cli.parse_scenario(dict(_KIND_CONFIGS[kind], oracle=True))
+    checks, evolved = [], []
+    check, evolve = ps.check_physical, ch.evolve_moments
+
+    def counted_check(cm):
+        checks.append(np.shape(cm))
+        return check(cm)
+
+    def counted_evolve(*args):
+        evolved.append(1)
+        return evolve(*args)
+
+    monkeypatch.setattr(ps, "check_physical", counted_check)
+    monkeypatch.setattr(ch, "evolve_moments", counted_evolve)
+    monkeypatch.setattr(tm, "evolve_moments", counted_evolve)
+    cli.run_scenario(s)
+    assert checks.count((4, 4)) == 1
+    assert len(evolved) == 1
+
+
+@pytest.mark.parametrize("kind", _GAUSSIAN_KINDS)
 def test_spectrum_computed_once(kind, monkeypatch):
     # complex diagonalisations of an --oracle run, per stack shape: the
     # evolved state's spectrum once, the mirrored matrix and the two local
@@ -547,6 +608,7 @@ def test_spectrum_computed_once(kind, monkeypatch):
     T = len(s.times)
     expected = {"single-gaussian": {(T, 2, 2): 1},
                 "two-mode": {(T, 4, 4): 2, (T, 2, 2): 2},
+                "two-mode-unequal": {(T, 4, 4): 2, (T, 2, 2): 2},
                 "fidelity": {}}[kind]
     shapes = []
     eigvals = np.linalg.eigvals

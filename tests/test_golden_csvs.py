@@ -46,3 +46,20 @@ def test_ulp_distance_across_zero():
     tiny = float.fromhex("0x0.0000000000001p-1022")
     assert golden._ordinal(tiny) - golden._ordinal(-tiny) == 2
     assert golden._ordinal(0.0) == golden._ordinal(-0.0) == 0
+
+
+def test_summary_by_column(tmp_path, capsys):
+    # the relative change of a cell that was 0 is 1, whatever its ulps
+    x, y = 0.5, 0.5 + 2.0 ** -52
+    for side, (v, d) in (("a", (x, 0.0)), ("b", (y, 1e-17))):
+        out = tmp_path / side / "gaussian-grid-seed1"
+        out.mkdir(parents=True)
+        (out / "s.csv").write_text(f"t,x,x_absdiff\r\n0,1,0\r\n"
+                                   f"0.5,{v!r},{d!r}\r\n", encoding="utf-8")
+    assert golden.main(["--compare", str(tmp_path / "a"),
+                        str(tmp_path / "b")]) == 1
+    assert capsys.readouterr().out.splitlines()[-3:] == [
+        "2 difference(s)",
+        "x: 1 cell(s) changed, max |Δ| 2.22e-16, max relative Δ 4.44e-16",
+        "x_absdiff: 1 cell(s) changed, max |Δ| 1e-17, max relative Δ 1",
+    ]

@@ -32,8 +32,7 @@ def _thermal_pair(gamma=1.0, mu1=0.5, mu2=0.5):
 class TestStandardForm:
     def test_squeezed_thermal_invariants(self):
         p = tm.SqueezedThermalParams(mu=0.5, r=0.8)
-        cm = tm.standard_form_to_cm(p.standard_form)
-        inv = tm.invariants(cm)
+        inv = tm.invariants(p.standard_form.state.cm)
         # global purity mu = 1/(4 sqrt(Det sigma))
         assert 1.0 / (4.0 * math.sqrt(inv.det_sigma)) == pytest.approx(0.5, rel=1e-12)
 
@@ -47,6 +46,22 @@ class TestStandardForm:
         with pytest.raises(ValueError):
             tm.StandardForm(a=0.4, b=1.0, c1=0.0, c2=0.0)
 
+    def test_state_built_and_checked_once(self, monkeypatch):
+        calls = []
+        check = ps.check_physical
+        monkeypatch.setattr(ps, "check_physical",
+                            lambda cm: calls.append(1) or check(cm))
+        sf = tm.StandardForm(a=1.2, b=1.0, c1=0.5, c2=-0.7)
+        assert isinstance(sf.state, ps.GaussianState)
+        assert sf.state is sf.state
+        assert np.array_equal(sf.state.cm, [[1.2, 0.0, 0.5, 0.0],
+                                            [0.0, 1.2, 0.0, -0.7],
+                                            [0.5, 0.0, 1.0, 0.0],
+                                            [0.0, -0.7, 0.0, 1.0]])
+        assert not sf.state.mean.any()
+        tm.log_negativity(sf.state)
+        assert len(calls) == 1
+
     def test_delta_tilde(self):
         inv = tm.TwoModeInvariants(det_sigma=1.0, det_alpha=2.0,
                                    det_beta=3.0, det_gamma=-0.5)
@@ -57,18 +72,25 @@ class TestStandardForm:
 class TestEntanglementMeasures:
     @pytest.mark.parametrize("r", [0.3, 1.0, 1.6, 2.2])
     def test_pure_squeezed_log_negativity(self, r):
-        cm = tm.standard_form_to_cm(
-            tm.SqueezedThermalParams(mu=1.0, r=r).standard_form)
+        cm = tm.SqueezedThermalParams(mu=1.0, r=r).standard_form.state.cm
         assert tm.log_negativity(cm) == pytest.approx(2.0 * r, abs=1e-8)
 
     def test_ppt_spectrum_pure_squeezed(self):
         r = 0.7
-        cm = tm.standard_form_to_cm(
-            tm.SqueezedThermalParams(mu=1.0, r=r).standard_form)
+        cm = tm.SqueezedThermalParams(mu=1.0, r=r).standard_form.state.cm
         nu_m, nu_p = tm.ppt_symplectic_eigenvalues(cm)
         assert nu_m == pytest.approx(0.5 * math.exp(-2.0 * r), rel=1e-10)
         assert nu_p == pytest.approx(0.5 * math.exp(2.0 * r), rel=1e-10)
         assert nu_m * nu_p == pytest.approx(0.25, rel=1e-10)
+
+    @pytest.mark.parametrize("f", [tm.log_negativity,
+                                   tm.teleportation_fidelity])
+    def test_cancelled_nu_minus_raises(self, f):
+        # at r = 6, Δ̃ - √(Δ̃² - 4 Det σ) rounds to 0 although ν̃₋ = e^{-12}/2:
+        # no silent F = 1 or E_N = inf
+        state = tm.SqueezedThermalParams(mu=1.0, r=6.0).standard_form.state
+        with pytest.raises(ArithmeticError, match="cancelled"):
+            f(state)
 
     def test_product_state_separable(self):
         cm = np.diag([0.7, 0.7, 0.9, 0.9])
@@ -77,8 +99,7 @@ class TestEntanglementMeasures:
         assert tm.mutual_information(cm) == pytest.approx(0.0, abs=1e-10)
 
     def test_pure_state_mutual_information_is_twice_entropy(self):
-        cm = tm.standard_form_to_cm(
-            tm.SqueezedThermalParams(mu=1.0, r=0.9).standard_form)
+        cm = tm.SqueezedThermalParams(mu=1.0, r=0.9).standard_form.state.cm
         alpha = cm[:2, :2]
         assert tm.mutual_information(cm) == pytest.approx(
             2.0 * ps.von_neumann_entropy(alpha), rel=1e-10)
@@ -86,7 +107,7 @@ class TestEntanglementMeasures:
     def test_smallest_eigenvalue_matches_eigh(self):
         for _ in range(20):
             sf = _random_standard_form(RNG)
-            cm = tm.standard_form_to_cm(sf)
+            cm = sf.state.cm
             assert tm.smallest_eigenvalue_u(sf) == pytest.approx(
                 float(np.linalg.eigvalsh(cm)[0]), abs=1e-10)
 
@@ -111,15 +132,16 @@ class TestCoefficientExpansion:
             assert getattr(by_coeff, name) == pytest.approx(
                 getattr(direct, name), rel=1e-9, abs=1e-12)
 
-    def test_unequal_couplings_fall_back_to_direct(self):
+    def test_unequal_couplings_have_no_expansion(self):
+        # evolved_invariants is the coefficient polynomials alone: it
+        # refuses the channels that coefficient_set refuses
         sf = tm.SqueezedThermalParams(mu=0.8, r=0.6).standard_form
         ch = ChannelSpec((BathParams(gamma=1.0, mu_inf=0.5),
                           BathParams(gamma=2.0, mu_inf=0.5)))
         with pytest.raises(ValueError):
             tm.coefficient_set(sf, ch)
-        inv = tm.evolved_invariants(sf, ch, 0.5)
-        direct = tm.invariants(_evolved_cm(sf, ch, 0.5))
-        assert inv.det_sigma == pytest.approx(direct.det_sigma, rel=1e-12)
+        with pytest.raises(ValueError, match="equal couplings"):
+            tm.evolved_invariants(sf, ch, np.linspace(0.0, 1.0, 3))
 
     def test_nonzero_first_bath_angle_rejected(self):
         sf = tm.SqueezedThermalParams(mu=0.8, r=0.6).standard_form
@@ -231,13 +253,12 @@ class TestNonclassicalDepth:
 class TestFidelity:
     def test_fidelity_of_vacuum_resource(self):
         # r = 0, mu = 1: classical boundary F = 1/2
-        cm = tm.standard_form_to_cm(
-            tm.SqueezedThermalParams(mu=1.0, r=0.0).standard_form)
+        cm = tm.SqueezedThermalParams(mu=1.0, r=0.0).standard_form.state.cm
         assert tm.teleportation_fidelity(cm) == pytest.approx(0.5, rel=1e-12)
 
     def test_fidelity_increases_with_squeezing(self):
-        fids = [tm.teleportation_fidelity(tm.standard_form_to_cm(
-            tm.SqueezedThermalParams(mu=1.0, r=r).standard_form))
+        fids = [tm.teleportation_fidelity(
+            tm.SqueezedThermalParams(mu=1.0, r=r).standard_form.state)
             for r in (0.0, 0.5, 1.0, 2.0)]
         assert all(b > a for a, b in zip(fids, fids[1:]))
         assert fids[-1] > 0.95
@@ -259,5 +280,4 @@ class TestFidelity:
 def _evolved_cm(sf: tm.StandardForm, ch: ChannelSpec, t: float) -> np.ndarray:
     from cvdec.channels import evolve_moments
 
-    state = ps.GaussianState(np.zeros(4), tm.standard_form_to_cm(sf))
-    return evolve_moments(state, ch, t).cm
+    return evolve_moments(sf.state, ch, t).cm

@@ -17,6 +17,9 @@ directories with ``--compare``.  It prints one line per differing CSV cell
 (file, row, column, both values as ``float.hex`` and their distance in
 units in the last place), per differing header or row count, per differing
 exit code and per file that only one side has, and exits 1 if there is any.
+It ends with one line per CSV column that changed: how many cells, the
+largest |Δ| and the largest |Δ| relative to the larger magnitude (ulps
+mislead across 0, as for an ``*_absdiff`` cell that was 0).
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ def _read_csv(path: Path) -> list[list[str]]:
         return list(csv.reader(fh))
 
 
-def _compare_csv(name: str, a: Path, b: Path) -> list[str]:
+def _compare_csv(name: str, a: Path, b: Path, cells: list) -> list[str]:
     ra, rb = _read_csv(a), _read_csv(b)
     if not ra or not rb or ra[0] != rb[0]:
         return [f"{name}: header {ra[:1]} vs {rb[:1]}"]
@@ -59,8 +62,10 @@ def _compare_csv(name: str, a: Path, b: Path) -> list[str]:
     if len(ra) != len(rb):
         out.append(f"{name}: {len(ra) - 1} vs {len(rb) - 1} rows")
     for r, (row_a, row_b) in enumerate(zip(ra[1:], rb[1:]), start=1):
-        out.extend(_cell(name, r, col, x, y)
-                   for col, x, y in zip(ra[0], row_a, row_b) if x != y)
+        for col, x, y in zip(ra[0], row_a, row_b):
+            if x != y:
+                out.append(_cell(name, r, col, x, y))
+                cells.append((col, float(x), float(y)))
     return out
 
 
@@ -73,8 +78,10 @@ def _compare_codes(name: str, a: Path, b: Path) -> list[str]:
     return out
 
 
-def compare(out_a: Path, out_b: Path) -> list[str]:
-    """One line per difference between two OUT directories."""
+def compare(out_a: Path, out_b: Path, cells: list | None = None) -> list[str]:
+    """One line per difference between two OUT directories; each differing
+    CSV cell is also appended to ``cells`` as (column, a, b)."""
+    cells = [] if cells is None else cells
     names = lambda d: {p.relative_to(d).as_posix() for p in d.rglob("*")
                        if p.suffix == ".csv" or p.name == "exit_codes.txt"}
     in_a, in_b = names(out_a), names(out_b)
@@ -84,10 +91,23 @@ def compare(out_a: Path, out_b: Path) -> list[str]:
             side = out_a if name in in_a else out_b
             lines.append(f"{name}: only in {side}")
         elif name.endswith(".csv"):
-            lines.extend(_compare_csv(name, out_a / name, out_b / name))
+            lines.extend(_compare_csv(name, out_a / name, out_b / name, cells))
         else:
             lines.extend(_compare_codes(name, out_a / name, out_b / name))
     return lines
+
+
+def column_summary(cells: list) -> list[str]:
+    """One line per column of (column, a, b) cells: the cells changed, the
+    largest |a - b| and the largest |a - b| / max(|a|, |b|)."""
+    by_column: dict[str, list[tuple[float, float]]] = {}
+    for col, x, y in cells:
+        d, scale = abs(x - y), max(abs(x), abs(y))
+        by_column.setdefault(col, []).append((d, d / scale if scale else 0.0))
+    return [f"{col}: {len(ds)} cell(s) changed, max |Δ| "
+            f"{max(d for d, _ in ds):.3g}, max relative Δ "
+            f"{max(r for _, r in ds):.3g}"
+            for col, ds in sorted(by_column.items())]
 
 
 def main(argv=None) -> int:
@@ -101,10 +121,10 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     if args.compare:
-        lines = compare(args.src, args.out)
-        for line in lines:
+        cells = []
+        lines = compare(args.src, args.out, cells)
+        for line in lines + [f"{len(lines)} difference(s)"] + column_summary(cells):
             print(line)
-        print(f"{len(lines)} difference(s)")
         return 1 if lines else 0
 
     pkg = (args.src / "src" / "cvdec").resolve()
