@@ -72,15 +72,19 @@ def symplectic_form(n: int) -> np.ndarray:
 # and diagonalised at most once.
 
 def _spectrum(m: np.ndarray) -> np.ndarray:
+    # with σ = LLᵀ, the Hermitian i LᵀΩL is similar to iΩσ, whose
+    # eigenvalues are ±ν; eigvalsh lists them ascending, so the ν are the
+    # last n, reversed
     n = m.shape[-1] // 2
-    eigs = np.linalg.eigvals(1j * symplectic_form(n) @ m)
-    mods = np.sort(np.abs(eigs), axis=-1)[..., ::-1]
-    return mods[..., ::2].copy()
+    chol = np.linalg.cholesky(m)
+    h = 1j * (np.swapaxes(chol, -1, -2) @ symplectic_form(n) @ chol)
+    return np.linalg.eigvalsh(h)[..., :n - 1:-1].copy()
 
 
 def symplectic_eigenvalues(cm) -> np.ndarray:
-    """Symplectic spectrum: the n positive moduli of the eigenvalues of iΩσ,
-    in descending order.  A GaussianState gives its cached, read-only
+    """Symplectic spectrum: the n positive eigenvalues of iΩσ, in
+    descending order; σ must be positive definite (else LinAlgError, a
+    ValueError).  A GaussianState gives its cached, read-only
     ``spectrum``."""
     if isinstance(cm, GaussianState):
         return cm.spectrum
@@ -88,22 +92,24 @@ def symplectic_eigenvalues(cm) -> np.ndarray:
 
 
 def check_physical(cm) -> bool:
-    """True iff σ > 0 and every symplectic eigenvalue is >= 1/2 - PHYS_TOL."""
+    """True iff σ > 0 and σ + iΩ/2 ⪰ 0, within PHYS_TOL·max(1, max|σ|)."""
     m = _as_cm(cm)
-    # cheaper than symplectic_eigenvalues on a stack of small matrices:
-    # one mode has ν² = Det σ, and the eigenvalues of the real Ωσ are ±iν
+    # one mode: σ + iΩ/2 ⪰ 0 iff σ > 0 and Det σ >= 1/4
     if m.shape[-1] == 2:
         det = np.linalg.det(m)
         if np.any(det <= 0.0) or np.any(m[..., 0, 0] <= 0.0):
             return False
-        nus = np.sqrt(det)
-    else:
-        try:
-            np.linalg.cholesky(m)
-        except np.linalg.LinAlgError:
-            return False
-        nus = np.abs(np.linalg.eigvals(symplectic_form(m.shape[-1] // 2) @ m))
-    return bool(np.min(nus) >= 0.5 - PHYS_TOL)
+        return bool(np.min(np.sqrt(det)) >= 0.5 - PHYS_TOL)
+    try:
+        np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        return False
+    # Simon, Mukunda & Dutta (1994): a Hermitian test, whose rounding error
+    # scales with the entries of σ, so the tolerance does too
+    h = m + 0.5j * symplectic_form(m.shape[-1] // 2)
+    low = np.linalg.eigvalsh(h)[..., 0]
+    scale = np.maximum(1.0, np.max(np.abs(m), axis=(-2, -1)))
+    return bool(np.all(low >= -PHYS_TOL * scale))
 
 
 def require_physical(cm) -> np.ndarray:

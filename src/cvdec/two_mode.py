@@ -149,21 +149,20 @@ def invariants(cm) -> TwoModeInvariants:
 
 def ppt_symplectic_eigenvalues(cm):
     """(ν̃₋, ν̃₊) of the partially transposed covariance matrix, from the
-    closed form 2ν̃∓² = Δ̃ ∓ √(Δ̃² - 4 Det σ)."""
+    closed form 2ν̃±² = Δ̃ ± √(Δ̃² - 4 Det σ), with ν̃₋ through Vieta as
+    2ν̃₋² = 4 Det σ / (Δ̃ + √(Δ̃² - 4 Det σ)), free of cancellation."""
     inv = invariants(cm)
     dt = inv.delta_tilde
     disc = dt * dt - 4.0 * inv.det_sigma
     if np.any(disc < -1e-12):
         raise ArithmeticError("negative PPT discriminant beyond tolerance")
-    root = np.sqrt(np.maximum(disc, 0.0))
-    half_minus = 0.5 * (dt - root)
-    # every physical σ has ν̃₋ > 0; 0 here means Δ̃ - √(Δ̃² - 4 Det σ) lost
-    # all its digits to cancellation, as for a pure state squeezed r ≳ 5
+    twice_plus = dt + np.sqrt(np.maximum(disc, 0.0))
+    half_minus = 2.0 * inv.det_sigma / twice_plus
+    # every physical σ has Det σ > 0; 0 or less here means Det σ lost all
+    # its digits to rounding, as for a pure state squeezed r = 10
     if np.any(half_minus <= 0.0):
         raise ArithmeticError("nu_minus cancelled to 0 in the PPT spectrum")
-    nu_minus = np.sqrt(half_minus)
-    nu_plus = np.sqrt(0.5 * (dt + root))
-    return nu_minus[()], nu_plus[()]
+    return np.sqrt(half_minus)[()], np.sqrt(0.5 * twice_plus)[()]
 
 
 def log_negativity(cm):

@@ -351,9 +351,9 @@ class TestEndToEnd:
         absdiff = [r[header.index("purity_absdiff")] for r in rows]
         assert 0.0 < max(absdiff) < 1e-9
 
-    def test_cancelled_ppt_spectrum_exits_2(self, tmp_path, capsys):
-        # a pure state squeezed r = 6 loses nu_minus to cancellation at t = 0:
-        # a numerical failure, not a traceback, an infinite E_N or F = 1
+    def test_large_squeezing_ppt_spectrum_run(self, tmp_path):
+        # a pure state squeezed r = 6: ν̃₋ = e^{-12}/2 keeps its leading
+        # digits at t = 0, so E_N is finite and F < 1
         cfg = _write(tmp_path, "tm.json", {
             "kind": "two-mode",
             "initial": {"mu": 1.0, "r": 6.0},
@@ -362,10 +362,27 @@ class TestEndToEnd:
             "quantities": ["logneg", "fidelity"],
         })
         out = tmp_path / "out.csv"
-        assert cli.main(["run", cfg, "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert "numerical/IO failure" in err and "Traceback" not in err
-        assert not out.exists()
+        assert cli.main(["run", cfg, "--out", str(out)]) == 0
+        header, rows = _read_csv(out)
+        assert rows[0][header.index("logneg")] == pytest.approx(12.0, abs=1e-5)
+        assert all(r[header.index("fidelity")] < 1.0 for r in rows)
+
+    def test_squeezed_vacuum_r_3_5_oracle_run(self, tmp_path):
+        # the pure state at r = 3.5 passes the uncertainty check, whose
+        # tolerance scales with max|σ|
+        cfg = _write(tmp_path, "tm.json", {
+            "kind": "two-mode",
+            "initial": {"mu": 1.0, "r": 3.5},
+            "baths": [{"gamma": 1.0, "mu_inf": 0.5}] * 2,
+            "grid": {"start": 0.0, "stop": 1.0, "points": 3},
+            "quantities": ["purity", "entropy", "tau", "logneg",
+                           "mutual-info", "fidelity"],
+        })
+        out = tmp_path / "out.csv"
+        assert cli.main(["run", cfg, "--out", str(out), "--oracle"]) == 0
+        header, rows = _read_csv(out)
+        assert rows[0][header.index("logneg")] == pytest.approx(7.0,
+                                                                abs=1e-9)
 
     def test_fidelity_run(self, tmp_path):
         cfg = _write(tmp_path, "fid.json", {
@@ -600,10 +617,10 @@ def test_initial_state_checked_and_evolved_once(kind, monkeypatch):
 
 @pytest.mark.parametrize("kind", _GAUSSIAN_KINDS)
 def test_spectrum_computed_once(kind, monkeypatch):
-    # complex diagonalisations of an --oracle run, per stack shape: the
-    # evolved state's spectrum once, the mirrored matrix and the two local
-    # blocks of the mutual information once each, and nothing for the
-    # invariants-only fidelity kind
+    # symplectic spectra of an --oracle run, per stack shape: the evolved
+    # state's once, the mirrored matrix's and the two local blocks' of the
+    # mutual information once each, and none for the invariants-only
+    # fidelity kind
     s = cli.parse_scenario(dict(_KIND_CONFIGS[kind], oracle=True))
     T = len(s.times)
     expected = {"single-gaussian": {(T, 2, 2): 1},
@@ -611,16 +628,31 @@ def test_spectrum_computed_once(kind, monkeypatch):
                 "two-mode-unequal": {(T, 4, 4): 2, (T, 2, 2): 2},
                 "fidelity": {}}[kind]
     shapes = []
+    spectrum = ps._spectrum
+
+    def counted(m):
+        shapes.append(np.shape(m))
+        return spectrum(m)
+
+    monkeypatch.setattr(ps, "_spectrum", counted)
+    cli.run_scenario(s)
+    assert {sh: shapes.count(sh) for sh in set(shapes)} == expected
+
+
+@pytest.mark.parametrize("kind", sorted(_KIND_CONFIGS))
+def test_no_general_eigensolver(kind, monkeypatch):
+    # the check and the spectrum use Hermitian eigensolvers only
+    calls = []
     eigvals = np.linalg.eigvals
 
     def counted(a):
-        if np.iscomplexobj(a):
-            shapes.append(np.shape(a))
+        calls.append(np.shape(a))
         return eigvals(a)
 
     monkeypatch.setattr(np.linalg, "eigvals", counted)
+    s = cli.parse_scenario(dict(_KIND_CONFIGS[kind], oracle=True))
     cli.run_scenario(s)
-    assert {sh: shapes.count(sh) for sh in set(shapes)} == expected
+    assert calls == []
 
 
 _NONE_ROWS = sorted(key for key, row in cli._TABLE.items()
@@ -659,13 +691,15 @@ def test_max_deviation_is_largest_absdiff():
 
 
 def test_import_loads_only_what_a_run_uses():
-    # a Gaussian run needs neither the sparse master equation, nor
-    # quadrature, nor root finding, nor the acceptance suite
+    # a Gaussian run needs neither scipy's dense linear algebra, nor the
+    # sparse master equation, nor quadrature, nor root finding, nor the
+    # acceptance suite
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
     code = ("import sys, cvdec.cli; print(' '.join(m for m in "
-            "('scipy.sparse', 'scipy.sparse.linalg', 'scipy.integrate', "
-            "'scipy.optimize', 'cvdec.acceptance') if m in sys.modules))")
+            "('scipy.linalg', 'scipy.sparse', 'scipy.sparse.linalg', "
+            "'scipy.integrate', 'scipy.optimize', 'cvdec.acceptance') "
+            "if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.split() == []

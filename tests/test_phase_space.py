@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cvdec import phase_space as ps
+from cvdec import two_mode as tm
 
 RNG = np.random.default_rng(20240817)
 
@@ -44,10 +45,37 @@ class TestSymplectic:
     def test_indefinite_rejected(self, cm):
         # every |eigenvalue| of Ωσ is 1 here, but σ is not positive definite
         assert not ps.check_physical(cm)
+        with pytest.raises(ValueError):
+            ps.symplectic_eigenvalues(cm)
         vacuum = ps.GaussianState.vacuum(len(cm) // 2).cm
         assert not ps.check_physical(np.stack([vacuum, cm]))
         with pytest.raises(ValueError):
             ps.GaussianState(np.zeros(len(cm)), cm)
+
+    def test_pure_squeezed_vacuum_builds_to_r_8(self):
+        # entries of size e^{2r}/4 leave σ + iΩ/2 within rounding of
+        # singular; the tolerance scales with them
+        for r in np.arange(0.0, 8.01, 0.25):
+            sf = tm.SqueezedThermalParams(mu=1.0, r=r).standard_form
+            assert ps.check_physical(sf.state.cm), r
+
+    def test_symplectic_eigenvalue_below_half_rejected(self):
+        # a pure two-mode state, then the same with ν scaled by 1 - 1e-9
+        s = ps.random_symplectic(2, np.random.default_rng(1))
+        for nu, ok in ((0.5, True), (0.5 * (1.0 - 1e-9), False)):
+            cm = nu * s @ s.T
+            assert ps.check_physical(cm) is ok
+            assert ps.check_physical(np.stack([0.5 * np.eye(4), cm])) is ok
+
+    def test_hermitian_pass_without_positive_definite_rejected(self):
+        # σ + iΩ/2 ⪰ 0 within the scaled tolerance, but σ has a negative
+        # eigenvalue: the Cholesky rejects it
+        cm = np.diag([-1e-7, 1e7, 0.5, 0.5])
+        low = np.linalg.eigvalsh(cm + 0.5j * ps.symplectic_form(2))[0]
+        assert low >= -ps.PHYS_TOL * np.max(np.abs(cm))
+        assert not ps.check_physical(cm)
+        with pytest.raises(ValueError, match="uncertainty"):
+            ps.require_physical(cm)
 
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError):

@@ -83,14 +83,25 @@ class TestEntanglementMeasures:
         assert nu_p == pytest.approx(0.5 * math.exp(2.0 * r), rel=1e-10)
         assert nu_m * nu_p == pytest.approx(0.25, rel=1e-10)
 
-    @pytest.mark.parametrize("f", [tm.log_negativity,
-                                   tm.teleportation_fidelity])
-    def test_cancelled_nu_minus_raises(self, f):
-        # at r = 6, Δ̃ - √(Δ̃² - 4 Det σ) rounds to 0 although ν̃₋ = e^{-12}/2:
-        # no silent F = 1 or E_N = inf
+    def test_nu_minus_without_cancellation(self):
+        # 2ν̃₋² = 4 Det σ / (Δ̃ + √(Δ̃² - 4 Det σ)) is as accurate as the
+        # stored matrix allows: rounding its entries, of size e^{2r}/4,
+        # already moves ν̃₋ by up to about eps·e^{4r} (2.0e-8 at r = 4.75,
+        # by 60-digit mpmath).  The difference form erred by 6.9e-4 at r = 4.
+        for r in np.arange(0.0, 5.01, 0.25):
+            state = tm.SqueezedThermalParams(mu=1.0, r=r).standard_form.state
+            nu_m, nu_p = tm.ppt_symplectic_eigenvalues(state)
+            exact = 0.5 * math.exp(-2.0 * r)
+            bound = max(1e-15, np.finfo(float).eps * math.exp(4.0 * r))
+            assert abs(nu_m / exact - 1.0) <= bound, r
+            assert nu_p == pytest.approx(0.5 * math.exp(2.0 * r), rel=1e-14)
+
+    def test_large_squeezing_keeps_nu_minus(self):
+        # at r = 6 the difference form Δ̃ - √(Δ̃² - 4 Det σ) rounded to 0;
+        # through Vieta, ν̃₋ = e^{-12}/2 keeps its leading digits
         state = tm.SqueezedThermalParams(mu=1.0, r=6.0).standard_form.state
-        with pytest.raises(ArithmeticError, match="cancelled"):
-            f(state)
+        assert tm.log_negativity(state) == pytest.approx(12.0, abs=1e-5)
+        assert tm.teleportation_fidelity(state) < 1.0
 
     def test_product_state_separable(self):
         cm = np.diag([0.7, 0.7, 0.9, 0.9])
