@@ -103,6 +103,16 @@ class TestEntanglementMeasures:
         assert tm.log_negativity(state) == pytest.approx(12.0, abs=1e-5)
         assert tm.teleportation_fidelity(state) < 1.0
 
+    @pytest.mark.parametrize("f", [tm.log_negativity,
+                                   tm.teleportation_fidelity])
+    def test_cancelled_nu_minus_raises(self, f):
+        # at r = 10, Det σ of the stored matrix loses all its digits and
+        # ν̃₋ rounds to 0 although it is e^{-20}/2: no silent F = 1 or
+        # E_N = inf
+        state = tm.SqueezedThermalParams(mu=1.0, r=10.0).standard_form.state
+        with pytest.raises(ArithmeticError, match="cancelled"):
+            f(state)
+
     def test_product_state_separable(self):
         cm = np.diag([0.7, 0.7, 0.9, 0.9])
         assert tm.is_separable(cm)
