@@ -39,9 +39,14 @@ __all__ = [
 ]
 
 PHYS_TOL = 1e-12
+# rounding of eigvalsh on σ + iΩ/2, per unit of max|σ|: the pure two-mode
+# squeezed vacuum reaches 2.8 eps for r <= 8
+EIGVALSH_ROUNDING = 16.0 * np.finfo(float).eps
 
 
-def _as_cm(cm, dim: int | None = None) -> np.ndarray:
+def _as_cm_scaled(cm, dim: int | None = None):
+    """σ symmetrized, and max(1, max|σ|) per matrix, the scale of its
+    rounding errors."""
     m = np.asarray(cm, dtype=float)
     if (m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] % 2
             or m.shape[-1] == 0):
@@ -52,7 +57,11 @@ def _as_cm(cm, dim: int | None = None) -> np.ndarray:
     scale = np.maximum(1.0, np.max(np.abs(m), axis=(-2, -1)))
     if np.any(np.max(np.abs(m - mt), axis=(-2, -1)) > PHYS_TOL * scale):
         raise ValueError("covariance matrix must be symmetric")
-    return 0.5 * (m + mt)
+    return 0.5 * (m + mt), scale
+
+
+def _as_cm(cm, dim: int | None = None) -> np.ndarray:
+    return _as_cm_scaled(cm, dim)[0]
 
 
 def symplectic_form(n: int) -> np.ndarray:
@@ -92,8 +101,9 @@ def symplectic_eigenvalues(cm) -> np.ndarray:
 
 
 def check_physical(cm) -> bool:
-    """True iff σ > 0 and σ + iΩ/2 ⪰ 0, within PHYS_TOL·max(1, max|σ|)."""
-    m = _as_cm(cm)
+    """True iff σ > 0 and σ + iΩ/2 ⪰ 0, within PHYS_TOL plus
+    EIGVALSH_ROUNDING·max(1, max|σ|)."""
+    m, scale = _as_cm_scaled(cm)
     # one mode: σ + iΩ/2 ⪰ 0 iff σ > 0 and Det σ >= 1/4
     if m.shape[-1] == 2:
         det = np.linalg.det(m)
@@ -105,11 +115,11 @@ def check_physical(cm) -> bool:
     except np.linalg.LinAlgError:
         return False
     # Simon, Mukunda & Dutta (1994): a Hermitian test, whose rounding error
-    # scales with the entries of σ, so the tolerance does too
+    # is a few eps·max|σ|; a ν below 1/2 moves its smallest eigenvalue only
+    # by about (ν² - 1/4)/(2 max|σ|), so the tolerance stays that tight
     h = m + 0.5j * symplectic_form(m.shape[-1] // 2)
     low = np.linalg.eigvalsh(h)[..., 0]
-    scale = np.maximum(1.0, np.max(np.abs(m), axis=(-2, -1)))
-    return bool(np.all(low >= -PHYS_TOL * scale))
+    return bool(np.all(low >= -(PHYS_TOL + EIGVALSH_ROUNDING * scale)))
 
 
 def require_physical(cm) -> np.ndarray:

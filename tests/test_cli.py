@@ -367,6 +367,38 @@ class TestEndToEnd:
         assert rows[0][header.index("logneg")] == pytest.approx(12.0, abs=1e-5)
         assert all(r[header.index("fidelity")] < 1.0 for r in rows)
 
+    def test_cancelled_ppt_spectrum_exits_2(self, tmp_path, capsys):
+        # at r = 10 the stored matrix has Det σ = 0 and ν̃₋ rounds to 0 at
+        # t = 0: a numerical failure, not a traceback, an infinite E_N or
+        # F = 1
+        cfg = _write(tmp_path, "tm.json", {
+            "kind": "two-mode",
+            "initial": {"mu": 1.0, "r": 10.0},
+            "baths": [{"gamma": 1.0, "mu_inf": 0.5}] * 2,
+            "grid": {"start": 0.0, "stop": 1.0, "points": 3},
+            "quantities": ["logneg", "fidelity"],
+        })
+        out = tmp_path / "out.csv"
+        assert cli.main(["run", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "numerical/IO failure" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_unphysical_large_entries_config_exits_1(self, tmp_path, capsys):
+        # ν = 0.1 behind entries of 1e6: the uncertainty check resolves it
+        cfg = _write(tmp_path, "tm.json", {
+            "kind": "two-mode",
+            "initial": {"a": 1e6, "b": 1e6, "c1": 999999.999999995,
+                        "c2": -999999.999999995},
+            "baths": [{"gamma": 1.0, "mu_inf": 0.5}] * 2,
+            "grid": {"start": 0.0, "stop": 1.0, "points": 3},
+            "quantities": ["purity"],
+        })
+        out = tmp_path / "out.csv"
+        assert cli.main(["run", cfg, "--out", str(out)]) == 1
+        assert "uncertainty" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_squeezed_vacuum_r_3_5_oracle_run(self, tmp_path):
         # the pure state at r = 3.5 passes the uncertainty check, whose
         # tolerance scales with max|σ|

@@ -67,12 +67,23 @@ class TestSymplectic:
             assert ps.check_physical(cm) is ok
             assert ps.check_physical(np.stack([0.5 * np.eye(4), cm])) is ok
 
+    @pytest.mark.parametrize("a, nu", [(1e6, 0.1), (1e4, 0.5 * (1.0 - 1e-3)),
+                                       (1e4, 0.5 * (1.0 - 1e-5)),
+                                       (1e2, 0.5 * (1.0 - 1e-9))])
+    def test_large_entries_below_half_rejected(self, a, nu):
+        # the standard form a = b, c1 = -c2 = √(a² - ν²) has ν below 1/2;
+        # σ + iΩ/2 then has an eigenvalue near (ν² - 1/4)/(2a), which the
+        # tolerance, a few eps·a, still resolves
+        c = math.sqrt(a * a - nu * nu)
+        with pytest.raises(ValueError, match="uncertainty"):
+            tm.StandardForm(a=a, b=a, c1=c, c2=-c)
+
     def test_hermitian_pass_without_positive_definite_rejected(self):
         # σ + iΩ/2 ⪰ 0 within the scaled tolerance, but σ has a negative
         # eigenvalue: the Cholesky rejects it
-        cm = np.diag([-1e-7, 1e7, 0.5, 0.5])
+        cm = np.diag([-1e-9, 1e9, 0.5, 0.5])
         low = np.linalg.eigvalsh(cm + 0.5j * ps.symplectic_form(2))[0]
-        assert low >= -ps.PHYS_TOL * np.max(np.abs(cm))
+        assert low >= -(ps.PHYS_TOL + ps.EIGVALSH_ROUNDING * np.max(np.abs(cm)))
         assert not ps.check_physical(cm)
         with pytest.raises(ValueError, match="uncertainty"):
             ps.require_physical(cm)

@@ -106,9 +106,10 @@ class TestEntanglementMeasures:
     @pytest.mark.parametrize("f", [tm.log_negativity,
                                    tm.teleportation_fidelity])
     def test_cancelled_nu_minus_raises(self, f):
-        # at r = 10, Det σ of the stored matrix loses all its digits and
-        # ν̃₋ rounds to 0 although it is e^{-20}/2: no silent F = 1 or
-        # E_N = inf
+        # at r = 10, cosh 20 and sinh 20 round to the same float, so the
+        # stored matrix has Det σ = 0 although ν̃₋ is e^{-20}/2; its entries,
+        # 1.2e8, are too large for the uncertainty check to resolve that.
+        # No silent F = 1 or E_N = inf
         state = tm.SqueezedThermalParams(mu=1.0, r=10.0).standard_form.state
         with pytest.raises(ArithmeticError, match="cancelled"):
             f(state)
