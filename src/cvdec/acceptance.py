@@ -121,10 +121,8 @@ def criterion_4() -> tuple[bool, str]:
     for n in range(11):
         for mu_inf in (0.25, 0.5, 1.0):
             bath = ch.BathParams(gamma=1.0, mu_inf=mu_inf)
-            n_bath, m_bath = ch.nm_from_bath(bath)
-            dim = max(nm.default_truncation(n_bath, n), 2 * n + 24)
-            purities = nm.lindblad_purities(nm.fock_state(n, dim), bath.gamma,
-                                            n_bath, m_bath, t_grid)
+            purities = nm.lindblad_purities(nm.fock_state(n, n + 1), bath.gamma,
+                                            *ch.nm_from_bath(bath), t_grid)
             d = np.abs(purities - ng.fock_purity_thermal(n, mu_inf, t_grid))
             worst_lb = max(worst_lb, float(np.max(d)))
     ok = worst_ci < 1e-8 and worst_lb < 1e-4

@@ -214,11 +214,12 @@ _INITIAL_STATE = {
 
 @dataclass
 class _Grid:
-    """What a column is computed from: the scenario, its parsed initial
-    state, and the evolved Gaussian states, built on first use."""
+    """What a column is computed from: the scenario, its parsed and checked
+    initial states, and the evolved Gaussian states, built on first use."""
 
     s: Scenario
     init: object
+    state0: ps.GaussianState | None
 
     @property
     def t(self) -> np.ndarray:
@@ -231,8 +232,7 @@ class _Grid:
     @functools.cached_property
     def state(self) -> ps.GaussianState:
         """Evolved states, checked once: a (T, 2n, 2n) stack of matrices."""
-        state = _INITIAL_STATE[self.s.kind](self.init)
-        return ch.evolve_moments(state, self.s.channel, self.t)
+        return ch.evolve_moments(self.state0, self.s.channel, self.t)
 
 
 _Column = Callable[[_Grid], np.ndarray]
@@ -283,12 +283,8 @@ def _spectral_two_mode_purity(g: _Grid) -> np.ndarray:
     return 1.0 / (4.0 * nu[..., 0] * nu[..., 1])
 
 
-def _lindblad_purities(g: _Grid, state: Callable[..., nm.TruncatedDensityMatrix],
-                       n: int, floor: int) -> np.ndarray:
-    """Tr ρ² along one master-equation trajectory from state(init, dim)."""
-    N, M = ch.nm_from_bath(g.bath)
-    dim = max(nm.default_truncation(N + abs(M), n), floor)
-    return nm.lindblad_purities(state(g.init, dim), g.bath.gamma, N, M, g.t)
+def _lindblad_purities(g: _Grid, rho0: nm.TruncatedDensityMatrix) -> np.ndarray:
+    return nm.lindblad_purities(rho0, g.bath.gamma, *ch.nm_from_bath(g.bath), g.t)
 
 
 def _fock_purity(g: _Grid) -> np.ndarray:
@@ -341,15 +337,14 @@ _TABLE: dict[tuple[str, str], _Row] = {
                         "box quadrature, independent from t_pos on"),
     ("fock", "purity"): _Row(
         _fock_purity,
-        lambda g: _lindblad_purities(g, nm.fock_state, g.init,
-                                     2 * g.init + 24),
+        lambda g: _lindblad_purities(g, nm.fock_state(g.init, g.init + 1)),
         "Lindblad trajectory"),
     ("fock", "xi"): _Row(
         lambda g: ng.fock_xi_t(g.init, g.bath.mu_inf, g.t, g.bath.gamma),
         _each(_fock_xi_box), "box quadrature"),
     ("psi01", "purity"): _Row(
         lambda g: ng.psi01_purity_t(g.init, g.bath, g.t),
-        lambda g: _lindblad_purities(g, nm.psi01_state, 1, 32),
+        lambda g: _lindblad_purities(g, nm.psi01_state(g.init, 2)),
         "Lindblad trajectory"),
     ("two-mode", "purity"): _Row(
         _two_mode_purity, _spectral_two_mode_purity, "CM spectrum"),
@@ -377,7 +372,8 @@ def run_scenario(s: Scenario) -> ResultTable:
     row labelled "none" is evaluated once: its oracle column is its plain
     column."""
     try:
-        grid = _Grid(s, _INITIAL[s.kind](s.initial))
+        init = _INITIAL[s.kind](s.initial)
+        grid = _Grid(s, init, _INITIAL_STATE.get(s.kind, lambda _: None)(init))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid {s.kind} parameters: {exc}") from exc
     rows = [_TABLE[(s.kind, q)] for q in s.quantities]
@@ -419,6 +415,8 @@ def _cmd_run(args) -> int:
         scenario = load_scenario(args.config)
         if args.oracle and not scenario.oracle:
             scenario = dataclasses.replace(scenario, oracle=True)
+        _require(args.tolerance is None or 0.0 <= args.tolerance < math.inf,
+                 f"--tolerance must be a finite number >= 0: {args.tolerance}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

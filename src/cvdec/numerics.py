@@ -33,7 +33,6 @@ __all__ = [
     "fock_destroy",
     "fock_state",
     "psi01_state",
-    "default_truncation",
     "lindblad_evolve",
     "lindblad_purities",
 ]
@@ -305,11 +304,6 @@ def psi01_state(vartheta: float, dim: int) -> TruncatedDensityMatrix:
     return TruncatedDensityMatrix(np.outer(psi, psi.conj()))
 
 
-def default_truncation(n_bath: float, n_init: float) -> int:
-    """Truncation dimension keeping the asymptotic thermal tail negligible."""
-    return max(20, math.ceil(8.0 * (n_bath + n_init + 1.0)))
-
-
 def _dissipator(o1, o2):
     # superoperator of rho -> 2 o1 rho o2 - o2 o1 rho - rho o2 o1 on the
     # row-major vec(rho), using vec(A rho B) = (A kron B^T) vec(rho)
@@ -351,25 +345,34 @@ def _check_truncation(rho):
         raise TruncationError(f"trace drift {drift:.2e} exceeds 1e-8")
 
 
-def _trajectory(rho0: TruncatedDensityMatrix, gamma: float, N: float,
-                M: complex, times):
-    """Fock-basis states at ascending ``times``: vec(rho) is stepped by
-    ``expm_multiply`` with the sparse Lindbladian, each state is checked."""
+def _padded(rho0: TruncatedDensityMatrix, N: float, M: complex):
+    """rho0 on s + 1 + k + slack Fock levels, s its highest occupied level:
+    a negative-binomial tail of s + 1 successes, at the photon ratio
+    (N+|M|)/(N+|M|+1) of the asymptotic state, falls to 1e-9 past k, and the
+    slack keeps the top tenth, which _check_truncation inspects, beyond it."""
+    n = 1 + max(np.flatnonzero(rho0.matrix.any(axis=0)), default=0)  # s + 1
+    base = n + next(k for k in itertools.count()
+                    if special.nbdtrc(k, n, 1.0 / (1.0 + N + abs(M))) <= 1e-9)
+    return np.pad(rho0.matrix[:n, :n], (0, base + base // 9 + 2 - n))
+
+
+def _trajectory(rho0: np.ndarray, gamma: float, N: float, M: complex, times):
+    """Fock-basis states on the levels of ``rho0`` at ascending ``times``,
+    vec(rho) stepped by ``expm_multiply``, each state checked."""
     if any(t < 0 for t in times) or any(b < a for a, b in zip(times, times[1:])):
         raise ValueError("times must be ascending and nonnegative")
     if abs(M) ** 2 > N * (N + 1.0) + 1e-12:
         raise ValueError("unphysical bath: |M|^2 > N(N+1)")
     from scipy.sparse.linalg import expm_multiply
 
-    dim = rho0.dim
-    gen = _lindbladian(dim, gamma, N, M)
-    vec = rho0.matrix.ravel()
+    gen = _lindbladian(len(rho0), gamma, N, M)
+    vec = rho0.ravel()
     prev = 0.0
     for t in times:
         if t > prev:
             vec = expm_multiply((t - prev) * gen, vec)
         prev = t
-        rho = vec.reshape(dim, dim)
+        rho = vec.reshape(rho0.shape)
         _check_truncation(rho)
         yield rho
 
@@ -380,15 +383,15 @@ def lindblad_evolve(rho0: TruncatedDensityMatrix, gamma: float, N: float,
 
     The bath is the coupling ``gamma`` and the correlations (N, M), with
     |M|² ≤ N(N+1).  The generator is the sparse d²×d² Lindbladian on the
-    truncated Fock basis, applied by ``scipy.sparse.linalg.expm_multiply``.
-    Trace preservation and Fock-tail containment are checked on the result.
+    Fock levels of ``_padded``, applied by ``expm_multiply``.  Trace
+    preservation and Fock-tail containment are checked on the result.
     """
-    *_, rho = _trajectory(rho0, gamma, N, M, [t])
+    *_, rho = _trajectory(_padded(rho0, N, M), gamma, N, M, [t])
     return TruncatedDensityMatrix(0.5 * (rho + rho.conj().T))
 
 
 def lindblad_purities(rho0: TruncatedDensityMatrix, gamma: float, N: float,
                       M: complex, times: Sequence[float]) -> np.ndarray:
     """Tr rho^2 sampled along a single trajectory (times must be ascending)."""
-    return np.array([float(np.real(np.sum(rho * rho.T)))
-                     for rho in _trajectory(rho0, gamma, N, M, list(times))])
+    return np.array([float(np.real(np.sum(rho * rho.T))) for rho in
+                     _trajectory(_padded(rho0, N, M), gamma, N, M, list(times))])

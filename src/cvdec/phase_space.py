@@ -104,12 +104,13 @@ def check_physical(cm) -> bool:
     """True iff σ > 0 and σ + iΩ/2 ⪰ 0, within PHYS_TOL plus
     EIGVALSH_ROUNDING·max(1, max|σ|)."""
     m, scale = _as_cm_scaled(cm)
-    # one mode: σ + iΩ/2 ⪰ 0 iff σ > 0 and Det σ >= 1/4
+    # one mode: σ > 0 and Det σ >= 1/4, to the resolution of the test below
     if m.shape[-1] == 2:
         det = np.linalg.det(m)
         if np.any(det <= 0.0) or np.any(m[..., 0, 0] <= 0.0):
             return False
-        return bool(np.min(np.sqrt(det)) >= 0.5 - PHYS_TOL)
+        tol = PHYS_TOL + 2.0 * EIGVALSH_ROUNDING * scale ** 2
+        return bool(np.all(det >= 0.25 - tol))
     try:
         np.linalg.cholesky(m)
     except np.linalg.LinAlgError:

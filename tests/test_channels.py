@@ -147,10 +147,9 @@ class TestClosedForms:
     def test_purity_against_lindblad(self):
         bath = ch.BathParams(gamma=1.0, mu_inf=0.5, r_inf=0.3, phi_inf=0.2)
         N, M = ch.nm_from_bath(bath)
-        dim = nm.default_truncation(N + abs(M), 2.0)
         init0 = ps.SingleModeParams(mu=1.0, r=0.0, phi=0.0)
         times = [0.25, 0.75, 1.5]
-        num = nm.lindblad_purities(nm.fock_state(0, dim), bath.gamma, N, M,
+        num = nm.lindblad_purities(nm.fock_state(0, 1), bath.gamma, N, M,
                                    times)
         closed = ch.single_mode_purity_t(init0, bath, np.array(times))
         assert np.allclose(num, closed, atol=1e-6)

@@ -168,6 +168,17 @@ class TestEndToEnd:
         assert cli.main(["run", cfg, "--out", str(out), "--oracle",
                          "--tolerance", "1e-30"]) == 2
 
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-1"])
+    def test_tolerance_must_be_finite_and_nonnegative(self, tmp_path, capsys,
+                                                      tolerance):
+        # worst > nan is always false: a nan tolerance would pass any run
+        cfg = _write(tmp_path, "s.json", _single_config(quantities=["purity"]))
+        out = tmp_path / "out.csv"
+        assert cli.main(["run", cfg, "--out", str(out), "--oracle",
+                         "--tolerance", tolerance]) == 1
+        assert "config error: --tolerance" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_error_exit_code(self, tmp_path):
         cfg = _write(tmp_path, "bad.json", _single_config(kind="unknown"))
         out = tmp_path / "out.csv"
@@ -291,19 +302,32 @@ class TestEndToEnd:
         assert cli.main(["run", cfg, "--out", str(out)]) == 1
         assert not out.exists()
 
-    def test_error_in_mid_grid_exits_2(self, tmp_path):
-        # the Lindblad trajectory of |0> + |1> in a strongly squeezed bath
-        # leaks out of its Fock truncation at t = 2, the 5th of 7 points
+    def test_error_in_mid_grid_exits_2(self, tmp_path, capsys, monkeypatch):
+        # a truncation check that fails at t = 2, the 5th of 7 points
+        calls = []
+
+        def check(rho):
+            calls.append(rho)
+            if len(calls) == 5:
+                raise nm.TruncationError("tail mass 1e-3 in the top level")
+
         cfg = _write(tmp_path, "psi.json", {
             "kind": "psi01",
             "initial": {"vartheta": 0.3},
-            "baths": [{"gamma": 1.0, "mu_inf": 1.0, "r_inf": 1.0}],
+            "baths": [{"gamma": 1.0, "mu_inf": 0.5}],
             "grid": {"start": 0.0, "stop": 3.0, "points": 7},
             "quantities": ["purity"],
         })
         out = tmp_path / "out.csv"
+        monkeypatch.setattr(nm, "_check_truncation", check)
         assert cli.main(["run", cfg, "--out", str(out)]) == 0
+        out.unlink()
         assert cli.main(["run", cfg, "--out", str(out), "--oracle"]) == 2
+        assert len(calls) == 5
+        err = capsys.readouterr().err
+        assert "numerical/IO failure: tail mass" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_psi01_run(self, tmp_path):
         cfg = _write(tmp_path, "psi.json", {
@@ -397,6 +421,19 @@ class TestEndToEnd:
         out = tmp_path / "out.csv"
         assert cli.main(["run", cfg, "--out", str(out)]) == 1
         assert "uncertainty" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("quantities", [["purity"], ["entropy"]])
+    def test_rejected_single_mode_initial_state_exits_1(self, tmp_path, capsys,
+                                                        quantities):
+        # at r = 10 Det σ of the initial state rounds to 0: the state is
+        # checked before any column, whether a column needs it or not
+        cfg = _write(tmp_path, "s.json", _single_config(
+            initial={"mu": 1.0, "r": 10.0}, quantities=quantities))
+        out = tmp_path / "out.csv"
+        assert cli.main(["run", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "Traceback" not in err
         assert not out.exists()
 
     def test_squeezed_vacuum_r_3_5_oracle_run(self, tmp_path):
@@ -539,17 +576,15 @@ def _pointwise(s, t):
     if s.kind in ("fock", "psi01"):
         N, M = ch.nm_from_bath(bath)
         if s.kind == "psi01":
-            dim = max(nm.default_truncation(N + abs(M), 1), 32)
-            rho0 = nm.psi01_state(init["vartheta"], dim)
+            rho0 = nm.psi01_state(init["vartheta"], 2)
             return {"purity": (ng.psi01_purity_t(init["vartheta"], bath, t),
                                nm.lindblad_evolve(rho0, bath.gamma, N, M,
                                                   t).purity())}
         n = init["n"]
-        dim = max(nm.default_truncation(N + abs(M), n), 2 * n + 24)
         closed = (ng.fock_purity_thermal(n, bath.mu_inf, t, bath.gamma)
                   if bath.is_thermal else ng.fock_purity_t(n, bath, t))
         out = {"purity": (closed,
-                          nm.lindblad_evolve(nm.fock_state(n, dim), bath.gamma,
+                          nm.lindblad_evolve(nm.fock_state(n, n + 1), bath.gamma,
                                              N, M, t).purity())}
         if "xi" in s.quantities:
             w = ng.fock_wigner_t(n, bath.mu_inf, t, bath.gamma)

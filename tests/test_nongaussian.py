@@ -201,11 +201,9 @@ class TestFockStates:
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_purity_matches_lindblad(self, n):
-        p_n = 0.5 * (math.cosh(2 * SQUEEZED.r_inf) / SQUEEZED.mu_inf - 1.0)
-        m_abs = math.sinh(2 * SQUEEZED.r_inf) / (2 * SQUEEZED.mu_inf)
-        dim = max(nm.default_truncation(p_n + m_abs, n), 2 * n + 24)
         times = [0.25, 0.75]
-        num = nm.lindblad_purities(nm.fock_state(n, dim), *SQUEEZED_NM, times)
+        num = nm.lindblad_purities(nm.fock_state(n, n + 1), *SQUEEZED_NM,
+                                   times)
         closed = [ng.fock_purity_t(n, SQUEEZED, t) for t in times]
         assert np.allclose(num, closed, atol=1e-6)
 
@@ -254,11 +252,8 @@ class TestPsi01:
 
     @pytest.mark.parametrize("vartheta", [0.0, 0.9, math.pi / 2])
     def test_matches_lindblad(self, vartheta):
-        p_n = 0.5 * (math.cosh(2 * SQUEEZED.r_inf) / SQUEEZED.mu_inf - 1.0)
-        m_abs = math.sinh(2 * SQUEEZED.r_inf) / (2 * SQUEEZED.mu_inf)
-        dim = max(nm.default_truncation(p_n + m_abs, 1), 32)
         t = 0.5
-        num = nm.lindblad_purities(nm.psi01_state(vartheta, dim), *SQUEEZED_NM,
+        num = nm.lindblad_purities(nm.psi01_state(vartheta, 2), *SQUEEZED_NM,
                                    [t])[0]
         assert ng.psi01_purity_t(vartheta, SQUEEZED, t) == pytest.approx(num, abs=1e-6)
 

@@ -16,11 +16,6 @@ from cvdec.channels import BathParams, nm_from_bath
 SQUEEZED = BathParams(gamma=1.0, mu_inf=0.5, r_inf=0.4, phi_inf=0.3)
 
 
-def _dim(bath, n):
-    N, M = nm_from_bath(bath)
-    return max(nm.default_truncation(N + abs(M), n), 2 * n + 24)
-
-
 def _gamma_nm(bath):
     """(gamma, N, M) of a bath, as the master-equation oracle takes them."""
     return (bath.gamma, *nm_from_bath(bath))
@@ -182,13 +177,13 @@ class TestQuadrature:
 class TestLindblad:
     def test_trace_preserved(self):
         bath = BathParams(gamma=1.0, mu_inf=0.5)
-        rho = nm.lindblad_evolve(nm.fock_state(1, 24), *_gamma_nm(bath), 0.7)
+        rho = nm.lindblad_evolve(nm.fock_state(1, 2), *_gamma_nm(bath), 0.7)
         assert rho.trace() == pytest.approx(1.0, abs=1e-8)
         assert rho.min_eigenvalue() >= -1e-10
 
     def test_vacuum_purity_matches_closed_form(self):
         bath = BathParams(gamma=1.0, mu_inf=0.5)
-        rho = nm.lindblad_evolve(nm.fock_state(0, 24), *_gamma_nm(bath), 1.0)
+        rho = nm.lindblad_evolve(nm.fock_state(0, 1), *_gamma_nm(bath), 1.0)
         mu_inf, k = 0.5, math.exp(-1.0)
         expected = mu_inf / math.sqrt(
             (mu_inf * k) ** 2 + (1.0 - k) ** 2 + 2.0 * mu_inf * k * (1.0 - k))
@@ -196,21 +191,56 @@ class TestLindblad:
 
     def test_asymptotic_state_thermal(self):
         bath = BathParams(gamma=1.0, mu_inf=0.5)
-        rho = nm.lindblad_evolve(nm.fock_state(0, 30), *_gamma_nm(bath), 50.0)
-        n_mean = float(np.real(np.sum(np.arange(30) * np.diag(rho.matrix))))
+        rho = nm.lindblad_evolve(nm.fock_state(0, 1), *_gamma_nm(bath), 50.0)
+        n_mean = float(np.real(np.sum(np.arange(rho.dim)
+                                      * np.diag(rho.matrix))))
         assert n_mean == pytest.approx(0.5, abs=1e-4)  # N = (1/mu - 1)/2
         off_diag = rho.matrix - np.diag(np.diag(rho.matrix))
         assert np.max(np.abs(off_diag)) < 1e-8
 
     def test_tail_failure_reported(self):
+        # the trajectory on 6 levels, far below what the oracle would pick
         bath = BathParams(gamma=1.0, mu_inf=0.2)
         with pytest.raises(nm.TruncationError):
-            nm.lindblad_evolve(nm.fock_state(0, 6), *_gamma_nm(bath), 30.0)
+            list(nm._trajectory(nm.fock_state(0, 6).matrix,
+                                *_gamma_nm(bath), [30.0]))
 
     def test_tail_failure_reported_along_trajectory(self):
         with pytest.raises(nm.TruncationError):
-            nm.lindblad_purities(nm.fock_state(2, 8), *_gamma_nm(SQUEEZED),
-                                 [0.5, 5.0])
+            list(nm._trajectory(nm.fock_state(2, 8).matrix,
+                                *_gamma_nm(SQUEEZED), [0.5, 5.0]))
+
+    def test_check_truncation_limits(self):
+        rho = np.zeros((20, 20), dtype=complex)
+        rho[0, 0], rho[19, 19] = 1.0 - 2e-6, 2e-6
+        with pytest.raises(nm.TruncationError, match="tail mass"):
+            nm._check_truncation(rho)
+        rho[0, 0], rho[19, 19] = 1.0 - 5e-7, 5e-7
+        nm._check_truncation(rho)
+        rho[0, 0] = 1.0 + 1e-7
+        with pytest.raises(nm.TruncationError, match="trace drift"):
+            nm._check_truncation(rho)
+
+    @pytest.mark.parametrize("n, bath, dim", [
+        (4, BathParams(gamma=1.0, mu_inf=1.0), 7),
+        (0, BathParams(gamma=1.0, mu_inf=0.25), 47),
+        (10, BathParams(gamma=1.0, mu_inf=0.5), 53),
+        (1, BathParams(gamma=1.0, mu_inf=0.5, r_inf=0.5, phi_inf=0.4), 74)])
+    def test_dimension_sized_from_support_and_bath(self, n, bath, dim):
+        N, M = nm_from_bath(bath)
+        padded = nm._padded(nm.fock_state(n, n + 1), N, M)
+        assert padded.shape == (dim, dim) and padded[n, n] == 1.0
+        # the photon tail beyond level dim - dim // 10 is at most 1e-9
+        x = (N + abs(M)) / (N + abs(M) + 1.0)
+        assert special.nbdtrc(dim - dim // 10 - n - 1, n + 1, 1.0 - x) <= 1e-9
+
+    def test_caller_dimension_does_not_matter(self):
+        # empty levels above the support are dropped or added alike
+        gamma, N, M = _gamma_nm(BathParams(gamma=1.0, mu_inf=0.5, r_inf=0.2))
+        small = nm.lindblad_evolve(nm.fock_state(2, 3), gamma, N, M, 0.6)
+        large = nm.lindblad_evolve(nm.fock_state(2, 90), gamma, N, M, 0.6)
+        assert small.dim == large.dim
+        assert small.matrix.tobytes() == large.matrix.tobytes()
 
     def test_unphysical_bath_rejected(self):
         # |M|^2 > N(N+1): no squeezed thermal bath has these correlations
@@ -219,20 +249,20 @@ class TestLindblad:
 
     @pytest.mark.parametrize("t", [0.3, 1.2])
     def test_squeezed_fock_purity_matches_closed_form(self, t):
-        rho0 = nm.fock_state(2, _dim(SQUEEZED, 2))
+        rho0 = nm.fock_state(2, 3)
         rho = nm.lindblad_evolve(rho0, *_gamma_nm(SQUEEZED), t)
         assert rho.purity() == pytest.approx(ng.fock_purity_t(2, SQUEEZED, t),
                                              abs=1e-9)
 
     @pytest.mark.parametrize("vartheta", [0.0, 1.1])
     def test_squeezed_psi01_purity_matches_closed_form(self, vartheta):
-        rho0 = nm.psi01_state(vartheta, _dim(SQUEEZED, 1))
+        rho0 = nm.psi01_state(vartheta, 2)
         rho = nm.lindblad_evolve(rho0, *_gamma_nm(SQUEEZED), 0.8)
         assert rho.purity() == pytest.approx(
             ng.psi01_purity_t(vartheta, SQUEEZED, 0.8), abs=1e-9)
 
     def test_evolve_matches_trajectory_endpoint(self):
-        rho0 = nm.psi01_state(0.6, _dim(SQUEEZED, 1))
+        rho0 = nm.psi01_state(0.6, 2)
         t = 0.9
         end = nm.lindblad_evolve(rho0, *_gamma_nm(SQUEEZED), t)
         purities = nm.lindblad_purities(rho0, *_gamma_nm(SQUEEZED), [t / 2, t])

@@ -59,6 +59,24 @@ class TestSymplectic:
             sf = tm.SqueezedThermalParams(mu=1.0, r=r).standard_form
             assert ps.check_physical(sf.state.cm), r
 
+    def test_pure_single_mode_squeezed_builds_to_r_8(self):
+        # cosh 2r - sinh 2r cos 2φ cancels, so Det σ is 1/4 only to about
+        # eps·max|σ|²; the one-mode tolerance scales with that
+        for r in np.arange(0.0, 8.01, 0.25):
+            for phi in (0.0, 0.3, 0.7, 1.2):
+                state = ps.GaussianState.from_params(
+                    ps.SingleModeParams(mu=1.0, r=r, phi=phi))
+                assert ps.check_physical(state.cm), (r, phi)
+
+    @pytest.mark.parametrize("a, nu", [(1e4, 0.5 * (1.0 - 1e-3)),
+                                       (1e2, 0.5 * (1.0 - 1e-9)),
+                                       (1e6, 0.1), (1.0, 0.5 * (1.0 - 1e-11))])
+    def test_single_mode_below_half_rejected(self, a, nu):
+        cm = np.diag([a, nu * nu / a])
+        assert not ps.check_physical(cm)
+        with pytest.raises(ValueError, match="uncertainty"):
+            ps.require_physical(cm)
+
     def test_symplectic_eigenvalue_below_half_rejected(self):
         # a pure two-mode state, then the same with ν scaled by 1 - 1e-9
         s = ps.random_symplectic(2, np.random.default_rng(1))
