@@ -208,11 +208,9 @@ class PhiResult:
     degenerate: bool
 
 
-def single_mode_phi_t(init: SingleModeParams, bath: BathParams, t: float) -> PhiResult:
-    """Evolved squeezing angle φ(t) ∈ (-π/2, π/2] via the two-argument
-    arctangent of the evolved off-diagonal/diagonal balance."""
-    t = float(_times(t))
-    k = math.exp(-bath.gamma * t)
+def _anisotropy(init: SingleModeParams, bath: BathParams, k):
+    """μ₀ (2σ₁₂, σ₂₂ - σ₁₁) of the evolved state at k = e^{-γt}, elementwise
+    over an array k: linear in k, so exactly 0 when r₀ = r∞ = 0."""
     s0 = math.sinh(2.0 * init.r)
     si = math.sinh(2.0 * bath.r_inf)
     ratio = init.mu / bath.mu_inf
@@ -220,6 +218,13 @@ def single_mode_phi_t(init: SingleModeParams, bath: BathParams, t: float) -> Phi
         - si * math.sin(2.0 * bath.phi_inf) * ratio * (1.0 - k)
     den = s0 * math.cos(2.0 * init.phi) * k \
         - si * math.cos(2.0 * bath.phi_inf) * ratio * (1.0 - k)
+    return num, den
+
+
+def single_mode_phi_t(init: SingleModeParams, bath: BathParams, t: float) -> PhiResult:
+    """Evolved squeezing angle φ(t) ∈ (-π/2, π/2] via the two-argument
+    arctangent of the evolved off-diagonal/diagonal balance."""
+    num, den = _anisotropy(init, bath, math.exp(-bath.gamma * float(_times(t))))
     if math.hypot(num, den) < 1e-14:
         return PhiResult(phi=0.0, degenerate=True)
     phi = 0.5 * math.atan2(num, den)
@@ -229,11 +234,13 @@ def single_mode_phi_t(init: SingleModeParams, bath: BathParams, t: float) -> Phi
 
 
 def single_mode_tau_t(init: SingleModeParams, bath: BathParams, t):
-    """Evolved nonclassical depth τ(t) = [1 - κ + √(κ² - 1/μ²)]/2, clamped."""
-    mu = single_mode_purity_t(init, bath, t)
+    """Evolved nonclassical depth τ(t) = [1 - κ + √(κ² - 1/μ²)]/2, clamped.
+    κ² - 1/μ² = (σ₁₁ - σ₂₂)² + 4σ₁₂², so the root is the length of the
+    anisotropy over μ₀, which does not cancel."""
+    t = _times(t)
+    num, den = _anisotropy(init, bath, np.exp(-bath.gamma * t))
     kappa = _kappa_t(init, bath, t)
-    disc = np.maximum(kappa * kappa - 1.0 / (mu * mu), 0.0)
-    return np.maximum(0.5 * (1.0 - kappa + np.sqrt(disc)), 0.0)
+    return np.maximum(0.5 * (1.0 - kappa + np.hypot(num, den) / init.mu), 0.0)
 
 
 def t_min(init: SingleModeParams, bath: BathParams) -> float | None:

@@ -95,9 +95,10 @@ def _number(p: dict, key: str, default: float | None = None) -> float:
 
 
 def _integer(p: dict, key: str) -> int:
-    """p[key], which must be a JSON integer (not 2.5, "2" or true)."""
+    """p[key], which must be a JSON integer (not 2.5, "2" or true) >= 0."""
     x = p[key]
-    _require(type(x) is int, f"{key} must be a JSON integer")
+    _require(type(x) is int and x >= 0,
+             f"{key} must be a nonnegative JSON integer")
     return x
 
 
@@ -158,6 +159,11 @@ def parse_scenario(raw: dict) -> Scenario:
     _require(not (kind == "fock" and "xi" in quantities
                   and not baths[0].is_thermal),
              "xi for Fock states requires a thermal bath")
+    first = baths[0]
+    _require(kind != "fidelity" or "fidelity" not in quantities
+             or all(b.is_thermal and b.gamma == first.gamma
+                    and b.mu_inf == first.mu_inf for b in baths),
+             "fidelity of kind 'fidelity' requires equal thermal baths")
     oracle = raw.get("oracle", False)
     _require(type(oracle) is bool, "oracle must be a JSON boolean")
     if kind == "single-gaussian" and "xi" in quantities:
@@ -256,7 +262,7 @@ def _each(f: Callable[[_Grid, float], float]) -> _Column:
 
 def _single_entropy(g: _Grid) -> np.ndarray:
     # f(1/2μ) with μ = 1/(2√Det σ) capped at 1, as params_from_cm gives it
-    mu = np.minimum(1.0 / (2.0 * np.sqrt(np.linalg.det(g.state.cm))), 1.0)
+    mu = np.minimum(ps.purity_gaussian(g.state), 1.0)
     return ps.entropy_function(1.0 / (2.0 * mu))
 
 
@@ -267,17 +273,7 @@ def _mirrored_log_negativity(g: _Grid) -> np.ndarray:
     return np.maximum(0.0, -np.log(2.0 * nu))
 
 
-def _two_mode_purity(g: _Grid) -> np.ndarray:
-    # 1/(4√Det σ): Det σ from the coefficient polynomials where they apply,
-    # else from the evolved state
-    try:
-        inv = tm.evolved_invariants(g.init, g.s.channel, g.t)
-    except ValueError:
-        return ps.purity_gaussian(g.state)
-    return 1.0 / (4.0 * np.sqrt(inv.det_sigma))
-
-
-def _spectral_two_mode_purity(g: _Grid) -> np.ndarray:
+def _spectral_purity(g: _Grid) -> np.ndarray:
     # 1/(4 ν₊ν₋), from the state's spectrum rather than from a determinant
     nu = ps.symplectic_eigenvalues(g.state)
     return 1.0 / (4.0 * nu[..., 0] * nu[..., 1])
@@ -347,7 +343,8 @@ _TABLE: dict[tuple[str, str], _Row] = {
         lambda g: _lindblad_purities(g, nm.psi01_state(g.init, 2)),
         "Lindblad trajectory"),
     ("two-mode", "purity"): _Row(
-        _two_mode_purity, _spectral_two_mode_purity, "CM spectrum"),
+        lambda g: ps.purity_gaussian(g.state), _spectral_purity,
+        "CM spectrum"),
     ("two-mode", "entropy"): _repeated(
         lambda g: ps.von_neumann_entropy(g.state)),
     ("two-mode", "tau"): _repeated(

@@ -338,8 +338,8 @@ def _check_truncation(rho):
     tail_mass = float(np.real(np.trace(rho[dim - tail:, dim - tail:])))
     if tail_mass > 1e-6:
         raise TruncationError(
-            f"tail mass {tail_mass:.2e} in the top {tail} Fock levels; "
-            "increase the truncation dimension")
+            f"tail mass {tail_mass:.2e} in the top {tail} of the {dim} Fock "
+            "levels sized from rho0 and the bath")
     drift = abs(float(np.real(np.trace(rho))) - 1.0)
     if drift > 1e-8:
         raise TruncationError(f"trace drift {drift:.2e} exceeds 1e-8")

@@ -43,7 +43,6 @@ __all__ = [
     "mutual_information",
     "smallest_eigenvalue_u",
     "coefficient_set",
-    "evolved_invariants",
     "entanglement_time",
     "entanglement_time_symmetric",
     "entanglement_time_bounds",
@@ -302,15 +301,6 @@ def coefficient_set(sf: StandardForm, ch: ChannelSpec) -> CoefficientSet:
         beta=(beta0, beta1, beta2),
         gamma_2=c1 * c2,
     )
-
-
-def evolved_invariants(sf0: StandardForm, ch: ChannelSpec, t) -> TwoModeInvariants:
-    """Invariants of the evolved state by the coefficient polynomials; an
-    array of times gives arrays of invariants.  Raises ValueError where
-    :func:`coefficient_set` does: unequal couplings, or bath 1 outside the
-    zero-angle gauge."""
-    t = _times(t)
-    return coefficient_set(sf0, ch).at(np.exp(-ch.baths[0].gamma * t))
 
 
 # ---------------------------------------------------------------------------

@@ -470,6 +470,44 @@ class TestEndToEnd:
             1.0 / (1.0 + math.exp(-2.0)), rel=1e-10)
         assert max(r[header.index("fidelity_absdiff")] for r in rows) < 1e-9
 
+    @pytest.mark.parametrize("baths", [
+        [{"gamma": 1.0, "mu_inf": 0.5}, {"gamma": 2.0, "mu_inf": 0.5}],
+        [{"gamma": 1.0, "mu_inf": 0.5, "r_inf": 0.3},
+         {"gamma": 1.0, "mu_inf": 0.5}],
+        [{"gamma": 1.0, "mu_inf": 0.5}, {"gamma": 1.0, "mu_inf": 0.6}],
+    ], ids=["unequal-couplings", "squeezed-bath", "unequal-mu-inf"])
+    def test_fidelity_outside_closed_form_exits_1(self, tmp_path, capsys,
+                                                  baths):
+        # tm.fidelity_t holds in equal thermal baths alone; logneg does not
+        # use it and runs in the same baths
+        config = {"kind": "fidelity", "initial": {"mu": 1.0, "r": 1.0},
+                  "baths": baths,
+                  "grid": {"start": 0.0, "stop": 1.0, "points": 3}}
+        cfg = _write(tmp_path, "fid.json", dict(config,
+                                                quantities=["fidelity"]))
+        out = tmp_path / "out.csv"
+        assert cli.main(["run", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "Traceback" not in err
+        assert not out.exists()
+        cfg = _write(tmp_path, "logneg.json", dict(config,
+                                                   quantities=["logneg"]))
+        assert cli.main(["run", cfg, "--out", str(out), "--oracle"]) == 0
+
+    @pytest.mark.parametrize("quantity", ["purity", "xi"])
+    def test_negative_fock_n_exits_1(self, tmp_path, capsys, quantity):
+        cfg = _write(tmp_path, "fock.json", {
+            "kind": "fock", "initial": {"n": -1},
+            "baths": [{"gamma": 1.0, "mu_inf": 0.5}],
+            "grid": {"start": 0.0, "stop": 1.0, "points": 3},
+            "quantities": [quantity],
+        })
+        out = tmp_path / "out.csv"
+        assert cli.main(["run", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_cat_run(self, tmp_path):
         cfg = _write(tmp_path, "cat.json", {
             "kind": "cat",
@@ -604,14 +642,10 @@ def _pointwise(s, t):
         return {"fidelity": (tm.fidelity_t(params, s.channel, t),
                              tm.teleportation_fidelity(cm)),
                 "logneg": (logneg, logneg)}
-    if s.channel.equal_couplings:
-        det_sigma = tm.evolved_invariants(sf, s.channel, t).det_sigma
-        purity = 1.0 / (4.0 * math.sqrt(det_sigma))
-    else:
-        purity = ps.purity_gaussian(cm)
     same = lambda f: (f(cm), f(cm))  # noqa: E731
     nu_plus, nu_minus = ps.symplectic_eigenvalues(cm)
-    return {"purity": (purity, 1.0 / (4.0 * nu_plus * nu_minus)),
+    return {"purity": (ps.purity_gaussian(cm),
+                       1.0 / (4.0 * nu_plus * nu_minus)),
             "entropy": same(ps.von_neumann_entropy),
             "tau": same(ps.nonclassical_depth_gaussian),
             "logneg": (logneg, max(0.0, -math.log(2.0 * nu))),

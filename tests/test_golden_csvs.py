@@ -58,8 +58,10 @@ def test_summary_by_column(tmp_path, capsys):
                                    f"0.5,{v!r},{d!r}\r\n", encoding="utf-8")
     assert golden.main(["--compare", str(tmp_path / "a"),
                         str(tmp_path / "b")]) == 1
-    assert capsys.readouterr().out.splitlines()[-3:] == [
+    assert capsys.readouterr().out.splitlines()[-4:] == [
         "2 difference(s)",
         "x: 1 cell(s) changed, max |Δ| 2.22e-16, max relative Δ 4.44e-16",
         "x_absdiff: 1 cell(s) changed, max |Δ| 1e-17, max relative Δ 1",
+        "gaussian-grid-seed1/s.csv: 2 cell(s) changed",
     ]
+

@@ -210,6 +210,16 @@ class TestLindblad:
             list(nm._trajectory(nm.fock_state(2, 8).matrix,
                                 *_gamma_nm(SQUEEZED), [0.5, 5.0]))
 
+    def test_tail_failure_names_the_chosen_dimension(self):
+        # no caller sets the dimension, so the message reports it rather
+        # than asking for a larger one
+        rho = np.zeros((20, 20), dtype=complex)
+        rho[0, 0], rho[19, 19] = 1.0 - 2e-6, 2e-6
+        with pytest.raises(nm.TruncationError) as info:
+            nm._check_truncation(rho)
+        assert "top 2 of the 20 Fock levels" in str(info.value)
+        assert "increase" not in str(info.value)
+
     def test_check_truncation_limits(self):
         rho = np.zeros((20, 20), dtype=complex)
         rho[0, 0], rho[19, 19] = 1.0 - 2e-6, 2e-6

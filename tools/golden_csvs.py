@@ -19,12 +19,14 @@ units in the last place), per differing header or row count, per differing
 exit code and per file that only one side has, and exits 1 if there is any.
 It ends with one line per CSV column that changed: how many cells, the
 largest |Δ| and the largest |Δ| relative to the larger magnitude (ulps
-mislead across 0, as for an ``*_absdiff`` cell that was 0).
+mislead across 0, as for an ``*_absdiff`` cell that was 0); then with one
+line per CSV file that changed and how many of its cells did.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import csv
 import io
@@ -65,7 +67,7 @@ def _compare_csv(name: str, a: Path, b: Path, cells: list) -> list[str]:
         for col, x, y in zip(ra[0], row_a, row_b):
             if x != y:
                 out.append(_cell(name, r, col, x, y))
-                cells.append((col, float(x), float(y)))
+                cells.append((name, col, float(x), float(y)))
     return out
 
 
@@ -80,7 +82,7 @@ def _compare_codes(name: str, a: Path, b: Path) -> list[str]:
 
 def compare(out_a: Path, out_b: Path, cells: list | None = None) -> list[str]:
     """One line per difference between two OUT directories; each differing
-    CSV cell is also appended to ``cells`` as (column, a, b)."""
+    CSV cell is also appended to ``cells`` as (file, column, a, b)."""
     cells = [] if cells is None else cells
     names = lambda d: {p.relative_to(d).as_posix() for p in d.rglob("*")
                        if p.suffix == ".csv" or p.name == "exit_codes.txt"}
@@ -98,16 +100,22 @@ def compare(out_a: Path, out_b: Path, cells: list | None = None) -> list[str]:
 
 
 def column_summary(cells: list) -> list[str]:
-    """One line per column of (column, a, b) cells: the cells changed, the
-    largest |a - b| and the largest |a - b| / max(|a|, |b|)."""
+    """One line per column of (file, column, a, b) cells: the cells changed,
+    the largest |a - b| and the largest |a - b| / max(|a|, |b|)."""
     by_column: dict[str, list[tuple[float, float]]] = {}
-    for col, x, y in cells:
+    for _, col, x, y in cells:
         d, scale = abs(x - y), max(abs(x), abs(y))
         by_column.setdefault(col, []).append((d, d / scale if scale else 0.0))
     return [f"{col}: {len(ds)} cell(s) changed, max |Δ| "
             f"{max(d for d, _ in ds):.3g}, max relative Δ "
             f"{max(r for _, r in ds):.3g}"
             for col, ds in sorted(by_column.items())]
+
+
+def file_summary(cells: list) -> list[str]:
+    """One line per file of (file, column, a, b) cells: the cells changed."""
+    counts = collections.Counter(name for name, *_ in cells)
+    return [f"{name}: {n} cell(s) changed" for name, n in sorted(counts.items())]
 
 
 def main(argv=None) -> int:
@@ -123,7 +131,8 @@ def main(argv=None) -> int:
     if args.compare:
         cells = []
         lines = compare(args.src, args.out, cells)
-        for line in lines + [f"{len(lines)} difference(s)"] + column_summary(cells):
+        for line in (lines + [f"{len(lines)} difference(s)"]
+                     + column_summary(cells) + file_summary(cells)):
             print(line)
         return 1 if lines else 0
 
