@@ -96,11 +96,10 @@ def criterion_3() -> tuple[bool, str]:
         ref = ch.evolved_params(init, bath, t)
         d_mu = abs(float(ch.single_mode_purity_t(init, bath, t)) - ref.mu)
         d_r = abs(float(ch.single_mode_r_t(init, bath, t)) - ref.r)
-        phi = ch.single_mode_phi_t(init, bath, t)
-        if phi.degenerate or ref.r < 1e-9:
+        if ref.r < 1e-9:  # the angle is conventional
             d_phi = 0.0
         else:
-            raw = abs(phi.phi - ref.phi)
+            raw = abs(float(ch.single_mode_phi_t(init, bath, t)) - ref.phi)
             d_phi = min(raw, abs(raw - np.pi))
         worst = max(worst, d_mu, d_r, d_phi)
     return worst < 1e-9, f"1000 draws; worst |closed - moments| = {worst:.2e} (allowed 1e-9)"
@@ -121,7 +120,7 @@ def criterion_4() -> tuple[bool, str]:
     for n in range(11):
         for mu_inf in (0.25, 0.5, 1.0):
             bath = ch.BathParams(gamma=1.0, mu_inf=mu_inf)
-            purities = nm.lindblad_purities(nm.fock_state(n, n + 1), bath.gamma,
+            purities = nm.lindblad_purities(nm.fock_state(n), bath.gamma,
                                             *ch.nm_from_bath(bath), t_grid)
             d = np.abs(purities - ng.fock_purity_thermal(n, mu_inf, t_grid))
             worst_lb = max(worst_lb, float(np.max(d)))

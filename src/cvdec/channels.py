@@ -10,12 +10,12 @@ matrix is
     σ∞ = [[1/2 + N + Re M, Im M], [Im M, 1/2 + N - Re M]],
 
 with N = (cosh 2r∞ / μ∞ - 1)/2, |M| = sinh 2r∞ / (2 μ∞), Arg M = -2 φ∞.
-Note that relative to the system-state parametrization of
-:func:`cvdec.phase_space.cm_from_params` the bath angle is offset by π/2:
-a bath with φ∞ = 0 has its *larger* variance along x.  This is the
-orientation under which the master-equation fixed point, the evolved purity
-formula and the countersqueezing optimality statement are all mutually
-consistent (the numerical integrator in :mod:`cvdec.numerics` arbitrates).
+It is :func:`cvdec.phase_space.cm_from_params` with (cos 2φ, sin 2φ)
+negated, so the bath angle is offset by π/2: a bath with φ∞ = 0 has its
+*larger* variance along x.  This is the orientation under which the
+master-equation fixed point, the evolved purity formula and the
+countersqueezing optimality statement are all mutually consistent (the
+numerical integrator in :mod:`cvdec.numerics` arbitrates).
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ import numpy as np
 from .phase_space import (
     GaussianState,
     SingleModeParams,
+    _squeezed_thermal_cm,
     params_from_cm,
     symplectic_form,
 )
@@ -35,7 +36,6 @@ from .phase_space import (
 __all__ = [
     "BathParams",
     "ChannelSpec",
-    "PhiResult",
     "env_cm",
     "nm_from_bath",
     "gamma_matrix",
@@ -101,12 +101,9 @@ class ChannelSpec:
 
 def env_cm(bath: BathParams) -> np.ndarray:
     """Asymptotic 2x2 covariance matrix of the reservoir."""
-    c, s = math.cosh(2.0 * bath.r_inf), math.sinh(2.0 * bath.r_inf)
-    cp, sp = math.cos(2.0 * bath.phi_inf), math.sin(2.0 * bath.phi_inf)
-    return np.array([
-        [c + s * cp, -s * sp],
-        [-s * sp, c - s * cp],
-    ]) / (2.0 * bath.mu_inf)
+    return _squeezed_thermal_cm(bath.mu_inf, bath.r_inf,
+                                -math.cos(2.0 * bath.phi_inf),
+                                -math.sin(2.0 * bath.phi_inf))
 
 
 def nm_from_bath(b: BathParams) -> tuple[float, complex]:
@@ -186,28 +183,6 @@ def single_mode_purity_t(init: SingleModeParams, bath: BathParams, t):
     return mu0 / np.sqrt(inner)
 
 
-def _kappa_t(init: SingleModeParams, bath: BathParams, t):
-    k = np.exp(-bath.gamma * np.asarray(t, dtype=float))
-    return (math.cosh(2.0 * init.r) / init.mu * k
-            + math.cosh(2.0 * bath.r_inf) / bath.mu_inf * (1.0 - k))
-
-
-def single_mode_r_t(init: SingleModeParams, bath: BathParams, t):
-    """Evolved squeezing modulus r(t), from cosh 2r(t) = μ(t) κ(t)."""
-    mu = single_mode_purity_t(init, bath, t)
-    cosh2r = np.maximum(mu * _kappa_t(init, bath, t), 1.0)
-    return 0.5 * np.arccosh(cosh2r)
-
-
-@dataclass(frozen=True)
-class PhiResult:
-    """Evolved squeezing angle; degenerate marks r(t) = 0 where φ is
-    conventional."""
-
-    phi: float
-    degenerate: bool
-
-
 def _anisotropy(init: SingleModeParams, bath: BathParams, k):
     """μ₀ (2σ₁₂, σ₂₂ - σ₁₁) of the evolved state at k = e^{-γt}, elementwise
     over an array k: linear in k, so exactly 0 when r₀ = r∞ = 0."""
@@ -221,25 +196,34 @@ def _anisotropy(init: SingleModeParams, bath: BathParams, k):
     return num, den
 
 
-def single_mode_phi_t(init: SingleModeParams, bath: BathParams, t: float) -> PhiResult:
-    """Evolved squeezing angle φ(t) ∈ (-π/2, π/2] via the two-argument
-    arctangent of the evolved off-diagonal/diagonal balance."""
-    num, den = _anisotropy(init, bath, math.exp(-bath.gamma * float(_times(t))))
-    if math.hypot(num, den) < 1e-14:
-        return PhiResult(phi=0.0, degenerate=True)
-    phi = 0.5 * math.atan2(num, den)
-    if phi <= -np.pi / 2:
-        phi += np.pi
-    return PhiResult(phi=phi, degenerate=False)
+def single_mode_r_t(init: SingleModeParams, bath: BathParams, t):
+    """Evolved squeezing modulus r(t), elementwise over an array t, from
+    sinh 2r = μ(t)·hypot(num, den)/μ₀ as in params_from_cm: exactly 0 when
+    r₀ = r∞ = 0."""
+    t = _times(t)
+    num, den = _anisotropy(init, bath, np.exp(-bath.gamma * t))
+    mu = single_mode_purity_t(init, bath, t)
+    return 0.5 * np.arcsinh(mu * np.hypot(num, den) / init.mu)
+
+
+def single_mode_phi_t(init: SingleModeParams, bath: BathParams, t):
+    """Evolved squeezing angle φ(t) ∈ (-π/2, π/2], elementwise over an array
+    t, from the two-argument arctangent of the anisotropy; 0 where r(t) = 0
+    and the angle is conventional."""
+    num, den = _anisotropy(init, bath, np.exp(-bath.gamma * _times(t)))
+    phi = 0.5 * np.arctan2(num, den)
+    phi = np.where(phi <= -np.pi / 2, phi + np.pi, phi)
+    return np.where(np.hypot(num, den) < 1e-14, 0.0, phi)[()]
 
 
 def single_mode_tau_t(init: SingleModeParams, bath: BathParams, t):
     """Evolved nonclassical depth τ(t) = [1 - κ + √(κ² - 1/μ²)]/2, clamped.
     κ² - 1/μ² = (σ₁₁ - σ₂₂)² + 4σ₁₂², so the root is the length of the
     anisotropy over μ₀, which does not cancel."""
-    t = _times(t)
-    num, den = _anisotropy(init, bath, np.exp(-bath.gamma * t))
-    kappa = _kappa_t(init, bath, t)
+    k = np.exp(-bath.gamma * _times(t))
+    num, den = _anisotropy(init, bath, k)
+    kappa = (math.cosh(2.0 * init.r) / init.mu * k
+             + math.cosh(2.0 * bath.r_inf) / bath.mu_inf * (1.0 - k))
     return np.maximum(0.5 * (1.0 - kappa + np.hypot(num, den) / init.mu), 0.0)
 
 

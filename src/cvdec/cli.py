@@ -156,9 +156,12 @@ def parse_scenario(raw: dict) -> Scenario:
              "quantities must not repeat")
     bad = [q for q in quantities if (kind, q) not in _TABLE]
     _require(not bad, f"quantities {bad} not defined for kind {kind!r}")
-    _require(not (kind == "fock" and "xi" in quantities
-                  and not baths[0].is_thermal),
-             "xi for Fock states requires a thermal bath")
+    if kind == "fock" and "xi" in quantities:
+        _require(baths[0].is_thermal,
+                 "xi for Fock states requires a thermal bath")
+        n = initial.get("n")
+        _require(type(n) is not int or n <= ng.FOCK_XI_MAX_N,
+                 f"xi for Fock states needs n <= {ng.FOCK_XI_MAX_N}")
     first = baths[0]
     _require(kind != "fidelity" or "fidelity" not in quantities
              or all(b.is_thermal and b.gamma == first.gamma
@@ -333,14 +336,14 @@ _TABLE: dict[tuple[str, str], _Row] = {
                         "box quadrature, independent from t_pos on"),
     ("fock", "purity"): _Row(
         _fock_purity,
-        lambda g: _lindblad_purities(g, nm.fock_state(g.init, g.init + 1)),
+        lambda g: _lindblad_purities(g, nm.fock_state(g.init)),
         "Lindblad trajectory"),
     ("fock", "xi"): _Row(
         lambda g: ng.fock_xi_t(g.init, g.bath.mu_inf, g.t, g.bath.gamma),
         _each(_fock_xi_box), "box quadrature"),
     ("psi01", "purity"): _Row(
         lambda g: ng.psi01_purity_t(g.init, g.bath, g.t),
-        lambda g: _lindblad_purities(g, nm.psi01_state(g.init, 2)),
+        lambda g: _lindblad_purities(g, nm.psi01_state(g.init)),
         "Lindblad trajectory"),
     ("two-mode", "purity"): _Row(
         lambda g: ps.purity_gaussian(g.state), _spectral_purity,

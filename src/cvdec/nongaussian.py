@@ -352,6 +352,11 @@ def fock_wigner_t(n: int, mu_inf: float, t: float, gamma: float = 1.0) -> Wigner
     return WignerField(eval=evaluate, domain=((-half, half), (-half, half)))
 
 
+# largest n at which fock_xi_t, an alternating sum, is validated: 7.5e-11
+# from a 60-digit reference at n = 12, 3.2e-10 at n = 13, worst at t = 0
+FOCK_XI_MAX_N = 12
+
+
 def fock_xi_t(n: int, mu_inf: float, t, gamma: float = 1.0):
     """Negative part ξ = ∫|W| - 1 of |n><n| in a thermal bath, over an
     array of times.  With k, ζ, η of :func:`fock_wigner_t` and v = ρ²/ζ, the

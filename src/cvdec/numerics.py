@@ -253,6 +253,11 @@ class TruncationError(RuntimeError):
     """Raised when the Fock-space truncation is detectably inadequate."""
 
 
+def _purity(rho: np.ndarray) -> float:
+    # Tr rho^2 = sum_ij rho_ij rho_ji
+    return float(np.real(np.sum(rho * rho.T)))
+
+
 @dataclass(frozen=True)
 class TruncatedDensityMatrix:
     """Density matrix on the truncated Fock basis {0..dim-1}."""
@@ -275,7 +280,7 @@ class TruncatedDensityMatrix:
         return float(np.real(np.trace(self.matrix)))
 
     def purity(self) -> float:
-        return float(np.real(np.sum(self.matrix * self.matrix.T)))
+        return _purity(self.matrix)
 
     def min_eigenvalue(self) -> float:
         return float(np.linalg.eigvalsh(0.5 * (self.matrix + self.matrix.conj().T))[0])
@@ -286,21 +291,17 @@ def fock_destroy(dim: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, dim)), 1).astype(complex)
 
 
-def fock_state(n: int, dim: int) -> TruncatedDensityMatrix:
-    if not 0 <= n < dim:
-        raise ValueError("Fock index outside the truncated basis")
-    m = np.zeros((dim, dim), dtype=complex)
+def fock_state(n: int) -> TruncatedDensityMatrix:
+    """|n><n| on its support, the levels 0..n."""
+    m = np.zeros((n + 1, n + 1), dtype=complex)
     m[n, n] = 1.0
     return TruncatedDensityMatrix(m)
 
 
-def psi01_state(vartheta: float, dim: int) -> TruncatedDensityMatrix:
-    """(|0> + e^{i vartheta} |1>)/sqrt(2) as a density matrix."""
-    if dim < 2:
-        raise ValueError("need at least two Fock levels")
-    psi = np.zeros(dim, dtype=complex)
-    psi[0] = 1.0 / math.sqrt(2.0)
-    psi[1] = np.exp(1j * vartheta) / math.sqrt(2.0)
+def psi01_state(vartheta: float) -> TruncatedDensityMatrix:
+    """(|0> + e^{i vartheta} |1>)/sqrt(2) as a density matrix on its support,
+    the levels 0 and 1."""
+    psi = np.array([1.0, np.exp(1j * vartheta)]) / math.sqrt(2.0)
     return TruncatedDensityMatrix(np.outer(psi, psi.conj()))
 
 
@@ -393,5 +394,5 @@ def lindblad_evolve(rho0: TruncatedDensityMatrix, gamma: float, N: float,
 def lindblad_purities(rho0: TruncatedDensityMatrix, gamma: float, N: float,
                       M: complex, times: Sequence[float]) -> np.ndarray:
     """Tr rho^2 sampled along a single trajectory (times must be ascending)."""
-    return np.array([float(np.real(np.sum(rho * rho.T))) for rho in
+    return np.array([_purity(rho) for rho in
                      _trajectory(_padded(rho0, N, M), gamma, N, M, list(times))])

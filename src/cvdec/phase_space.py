@@ -185,13 +185,16 @@ class SingleModeParams:
             raise ValueError("squeezing angle must lie in (-pi/2, pi/2]")
 
 
+def _squeezed_thermal_cm(mu, r, cp, sp) -> np.ndarray:
+    """2x2 matrix of purity mu, squeezing r and (cos 2φ, sin 2φ) = (cp, sp)."""
+    c, s = math.cosh(2.0 * r), math.sinh(2.0 * r)
+    return np.array([[c - s * cp, s * sp],
+                     [s * sp, c + s * cp]]) / (2.0 * mu)
+
+
 def cm_from_params(p: SingleModeParams) -> np.ndarray:
-    c, s = math.cosh(2.0 * p.r), math.sinh(2.0 * p.r)
-    cp, sp = math.cos(2.0 * p.phi), math.sin(2.0 * p.phi)
-    return np.array([
-        [c - s * cp, s * sp],
-        [s * sp, c + s * cp],
-    ]) / (2.0 * p.mu)
+    return _squeezed_thermal_cm(p.mu, p.r, math.cos(2.0 * p.phi),
+                                math.sin(2.0 * p.phi))
 
 
 def params_from_cm(cm) -> SingleModeParams:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -135,21 +136,47 @@ class TestClosedForms:
         assert ch.single_mode_purity_t(init, bath, t) == pytest.approx(
             evolved.mu, rel=1e-9)
         assert ch.single_mode_r_t(init, bath, t) == pytest.approx(
-            evolved.r, abs=1e-7)
+            evolved.r, abs=1e-12)
         cm = ps.cm_from_params(evolved)
         assert ch.single_mode_tau_t(init, bath, t) == pytest.approx(
             ps.nonclassical_depth_gaussian(cm), abs=1e-9)
-        res = ch.single_mode_phi_t(init, bath, t)
-        if not res.degenerate and evolved.r > 1e-6:
-            dphi = (res.phi - evolved.phi + math.pi / 2) % math.pi - math.pi / 2
+        if evolved.r > 1e-6:
+            phi = float(ch.single_mode_phi_t(init, bath, t))
+            dphi = (phi - evolved.phi + math.pi / 2) % math.pi - math.pi / 2
             assert abs(dphi) < 1e-7
+
+    @pytest.mark.parametrize("mu_inf", [0.5, 1.0])
+    def test_vacuum_r_is_exactly_0(self, mu_inf):
+        # r₀ = r∞ = 0: the anisotropy is 0 at every t, and so is r
+        vacuum = ps.SingleModeParams(mu=1.0, r=0.0)
+        bath = ch.BathParams(gamma=1.0, mu_inf=mu_inf)
+        times = np.linspace(0.0, 5.0, 101)
+        assert np.all(ch.single_mode_r_t(vacuum, bath, times) == 0.0)
+        assert np.all(ch.single_mode_phi_t(vacuum, bath, times) == 0.0)
+
+    def test_r_near_0_matches_moments(self):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            init = replace(_random_params(rng), r=rng.choice([0.0, 1e-7]))
+            bath = replace(_random_bath(rng), r_inf=rng.choice([0.0, 1e-7]))
+            t = rng.uniform(0.0, 4.0)
+            assert abs(float(ch.single_mode_r_t(init, bath, t))
+                       - ch.evolved_params(init, bath, t).r) < 1e-14
+
+    def test_r_phi_over_an_array_match_point_calls(self):
+        init, bath = _random_params(RNG), _random_bath(RNG)
+        times = np.linspace(0.0, 4.0, 41)
+        for f in (ch.single_mode_r_t, ch.single_mode_phi_t):
+            values = f(init, bath, times)
+            assert values.shape == times.shape
+            assert list(values) == [f(init, bath, t) for t in times]
 
     def test_purity_against_lindblad(self):
         bath = ch.BathParams(gamma=1.0, mu_inf=0.5, r_inf=0.3, phi_inf=0.2)
         N, M = ch.nm_from_bath(bath)
         init0 = ps.SingleModeParams(mu=1.0, r=0.0, phi=0.0)
         times = [0.25, 0.75, 1.5]
-        num = nm.lindblad_purities(nm.fock_state(0, 1), bath.gamma, N, M,
+        num = nm.lindblad_purities(nm.fock_state(0), bath.gamma, N, M,
                                    times)
         closed = ch.single_mode_purity_t(init0, bath, np.array(times))
         assert np.allclose(num, closed, atol=1e-6)
@@ -220,5 +247,8 @@ class TestClosedForms:
         init, bath = _random_params(RNG), _random_bath(RNG)
         with pytest.raises(ValueError):
             ch.single_mode_purity_t(init, bath, -0.1)
+        for f in (ch.single_mode_r_t, ch.single_mode_phi_t):
+            with pytest.raises(ValueError):
+                f(init, bath, [0.1, -0.1])
         with pytest.raises(ValueError):
             ch.gamma_matrix(ch.ChannelSpec((bath,)), -1.0)

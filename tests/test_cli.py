@@ -508,6 +508,22 @@ class TestEndToEnd:
         assert "config error" in err and "Traceback" not in err
         assert not out.exists()
 
+    def test_fock_xi_above_validated_n_exits_1(self, tmp_path, capsys):
+        # fock_xi_t is validated for n <= 12; the purity is sound beyond it
+        config = {"kind": "fock", "baths": [{"gamma": 1.0, "mu_inf": 0.5}],
+                  "grid": {"start": 0.0, "stop": 1.0, "points": 3}}
+        out = tmp_path / "out.csv"
+        cfg = _write(tmp_path, "xi13.json", dict(
+            config, initial={"n": 13}, quantities=["xi"]))
+        assert cli.main(["run", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "Traceback" not in err
+        assert not out.exists()
+        for n, quantity in ((13, "purity"), (12, "xi")):
+            cfg = _write(tmp_path, "ok.json", dict(
+                config, initial={"n": n}, quantities=[quantity]))
+            assert cli.main(["run", cfg, "--out", str(out)]) == 0
+
     def test_cat_run(self, tmp_path):
         cfg = _write(tmp_path, "cat.json", {
             "kind": "cat",
@@ -614,7 +630,7 @@ def _pointwise(s, t):
     if s.kind in ("fock", "psi01"):
         N, M = ch.nm_from_bath(bath)
         if s.kind == "psi01":
-            rho0 = nm.psi01_state(init["vartheta"], 2)
+            rho0 = nm.psi01_state(init["vartheta"])
             return {"purity": (ng.psi01_purity_t(init["vartheta"], bath, t),
                                nm.lindblad_evolve(rho0, bath.gamma, N, M,
                                                   t).purity())}
@@ -622,7 +638,7 @@ def _pointwise(s, t):
         closed = (ng.fock_purity_thermal(n, bath.mu_inf, t, bath.gamma)
                   if bath.is_thermal else ng.fock_purity_t(n, bath, t))
         out = {"purity": (closed,
-                          nm.lindblad_evolve(nm.fock_state(n, n + 1), bath.gamma,
+                          nm.lindblad_evolve(nm.fock_state(n), bath.gamma,
                                              N, M, t).purity())}
         if "xi" in s.quantities:
             w = ng.fock_wigner_t(n, bath.mu_inf, t, bath.gamma)

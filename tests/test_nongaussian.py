@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -202,7 +203,7 @@ class TestFockStates:
     @pytest.mark.parametrize("n", [1, 2])
     def test_purity_matches_lindblad(self, n):
         times = [0.25, 0.75]
-        num = nm.lindblad_purities(nm.fock_state(n, n + 1), *SQUEEZED_NM,
+        num = nm.lindblad_purities(nm.fock_state(n), *SQUEEZED_NM,
                                    times)
         closed = [ng.fock_purity_t(n, SQUEEZED, t) for t in times]
         assert np.allclose(num, closed, atol=1e-6)
@@ -253,7 +254,7 @@ class TestPsi01:
     @pytest.mark.parametrize("vartheta", [0.0, 0.9, math.pi / 2])
     def test_matches_lindblad(self, vartheta):
         t = 0.5
-        num = nm.lindblad_purities(nm.psi01_state(vartheta, 2), *SQUEEZED_NM,
+        num = nm.lindblad_purities(nm.psi01_state(vartheta), *SQUEEZED_NM,
                                    [t])[0]
         assert ng.psi01_purity_t(vartheta, SQUEEZED, t) == pytest.approx(num, abs=1e-6)
 
@@ -302,7 +303,48 @@ def _fock_xi_mpmath(n, mu_inf, t, gamma=1.0):
         return float(max(total - 1, 0))
 
 
+@functools.lru_cache(maxsize=None)
+def _laguerre_roots(n):
+    """The roots of Lₙ to 60 digits, ascending."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(60):
+        coeffs = [(-1) ** m * mp.binomial(n, m) / mp.factorial(m)
+                  for m in range(n, -1, -1)]
+        return tuple(sorted(mp.polyroots(coeffs, maxsteps=100, extraprec=60)))
+
+
+def _fock_xi_gammainc(n, mu_inf, t):
+    """60-digit ξ of |n> in a thermal bath at γ = 1: |Σₘ aₘ ΔP(m+1, ·)|
+    summed over the intervals between the sign changes v_j = -η x_j/(2k) of
+    Q, x_j the roots of Lₙ, with P the regularized lower gammainc (see
+    ``fock_xi_t`` for aₘ, k, ζ and η)."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(60):
+        k = mp.exp(-mp.mpf(t))
+        mu = mp.mpf(mu_inf)
+        zeta = (1 - (1 - mu) * k) / mu
+        eta = (1 - (1 + mu) * k) / mu
+        a = [mp.binomial(n, m) * (2 * k / zeta) ** m * (eta / zeta) ** (n - m)
+             for m in range(n + 1)]
+        inner = [-eta * x / (2 * k) for x in _laguerre_roots(n)] if eta < 0 else []
+        edges = [mp.mpf(0), *inner, mp.inf]
+        total = sum(abs(mp.fsum(am * mp.gammainc(m + 1, lo, hi, regularized=True)
+                                for m, am in enumerate(a)))
+                    for lo, hi in zip(edges, edges[1:]))
+        return total - 1
+
+
 class TestFockXiClosedForm:
+    @pytest.mark.parametrize("n", range(1, ng.FOCK_XI_MAX_N + 1))
+    def test_matches_gammainc_reference_up_to_validated_n(self, n):
+        # the alternating sum loses digits as n grows; cvdec run rejects xi
+        # above ng.FOCK_XI_MAX_N
+        for mu_inf in (0.25, 0.5, 0.9):
+            t_nc = math.log1p(mu_inf)
+            times = np.array([0.0, 0.1, 0.5 * t_nc, 0.9 * t_nc])
+            for t, xi in zip(times, ng.fock_xi_t(n, mu_inf, times)):
+                assert abs(xi - float(_fock_xi_gammainc(n, mu_inf, t))) < 1e-10
+
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 10])
     @pytest.mark.parametrize("t", [0.0, 0.05, 0.2, 0.38])
     def test_matches_mpmath(self, n, t):

@@ -177,13 +177,13 @@ class TestQuadrature:
 class TestLindblad:
     def test_trace_preserved(self):
         bath = BathParams(gamma=1.0, mu_inf=0.5)
-        rho = nm.lindblad_evolve(nm.fock_state(1, 2), *_gamma_nm(bath), 0.7)
+        rho = nm.lindblad_evolve(nm.fock_state(1), *_gamma_nm(bath), 0.7)
         assert rho.trace() == pytest.approx(1.0, abs=1e-8)
         assert rho.min_eigenvalue() >= -1e-10
 
     def test_vacuum_purity_matches_closed_form(self):
         bath = BathParams(gamma=1.0, mu_inf=0.5)
-        rho = nm.lindblad_evolve(nm.fock_state(0, 1), *_gamma_nm(bath), 1.0)
+        rho = nm.lindblad_evolve(nm.fock_state(0), *_gamma_nm(bath), 1.0)
         mu_inf, k = 0.5, math.exp(-1.0)
         expected = mu_inf / math.sqrt(
             (mu_inf * k) ** 2 + (1.0 - k) ** 2 + 2.0 * mu_inf * k * (1.0 - k))
@@ -191,7 +191,7 @@ class TestLindblad:
 
     def test_asymptotic_state_thermal(self):
         bath = BathParams(gamma=1.0, mu_inf=0.5)
-        rho = nm.lindblad_evolve(nm.fock_state(0, 1), *_gamma_nm(bath), 50.0)
+        rho = nm.lindblad_evolve(nm.fock_state(0), *_gamma_nm(bath), 50.0)
         n_mean = float(np.real(np.sum(np.arange(rho.dim)
                                       * np.diag(rho.matrix))))
         assert n_mean == pytest.approx(0.5, abs=1e-4)  # N = (1/mu - 1)/2
@@ -202,12 +202,12 @@ class TestLindblad:
         # the trajectory on 6 levels, far below what the oracle would pick
         bath = BathParams(gamma=1.0, mu_inf=0.2)
         with pytest.raises(nm.TruncationError):
-            list(nm._trajectory(nm.fock_state(0, 6).matrix,
+            list(nm._trajectory(np.pad(nm.fock_state(0).matrix, (0, 5)),
                                 *_gamma_nm(bath), [30.0]))
 
     def test_tail_failure_reported_along_trajectory(self):
         with pytest.raises(nm.TruncationError):
-            list(nm._trajectory(nm.fock_state(2, 8).matrix,
+            list(nm._trajectory(np.pad(nm.fock_state(2).matrix, (0, 5)),
                                 *_gamma_nm(SQUEEZED), [0.5, 5.0]))
 
     def test_tail_failure_names_the_chosen_dimension(self):
@@ -238,7 +238,7 @@ class TestLindblad:
         (1, BathParams(gamma=1.0, mu_inf=0.5, r_inf=0.5, phi_inf=0.4), 74)])
     def test_dimension_sized_from_support_and_bath(self, n, bath, dim):
         N, M = nm_from_bath(bath)
-        padded = nm._padded(nm.fock_state(n, n + 1), N, M)
+        padded = nm._padded(nm.fock_state(n), N, M)
         assert padded.shape == (dim, dim) and padded[n, n] == 1.0
         # the photon tail beyond level dim - dim // 10 is at most 1e-9
         x = (N + abs(M)) / (N + abs(M) + 1.0)
@@ -247,32 +247,33 @@ class TestLindblad:
     def test_caller_dimension_does_not_matter(self):
         # empty levels above the support are dropped or added alike
         gamma, N, M = _gamma_nm(BathParams(gamma=1.0, mu_inf=0.5, r_inf=0.2))
-        small = nm.lindblad_evolve(nm.fock_state(2, 3), gamma, N, M, 0.6)
-        large = nm.lindblad_evolve(nm.fock_state(2, 90), gamma, N, M, 0.6)
+        small = nm.lindblad_evolve(nm.fock_state(2), gamma, N, M, 0.6)
+        padded = nm.TruncatedDensityMatrix(np.pad(nm.fock_state(2).matrix, (0, 87)))
+        large = nm.lindblad_evolve(padded, gamma, N, M, 0.6)
         assert small.dim == large.dim
         assert small.matrix.tobytes() == large.matrix.tobytes()
 
     def test_unphysical_bath_rejected(self):
         # |M|^2 > N(N+1): no squeezed thermal bath has these correlations
         with pytest.raises(ValueError):
-            nm.lindblad_evolve(nm.fock_state(0, 8), 1.0, 0.1, 1.0, 0.5)
+            nm.lindblad_evolve(nm.fock_state(0), 1.0, 0.1, 1.0, 0.5)
 
     @pytest.mark.parametrize("t", [0.3, 1.2])
     def test_squeezed_fock_purity_matches_closed_form(self, t):
-        rho0 = nm.fock_state(2, 3)
+        rho0 = nm.fock_state(2)
         rho = nm.lindblad_evolve(rho0, *_gamma_nm(SQUEEZED), t)
         assert rho.purity() == pytest.approx(ng.fock_purity_t(2, SQUEEZED, t),
                                              abs=1e-9)
 
     @pytest.mark.parametrize("vartheta", [0.0, 1.1])
     def test_squeezed_psi01_purity_matches_closed_form(self, vartheta):
-        rho0 = nm.psi01_state(vartheta, 2)
+        rho0 = nm.psi01_state(vartheta)
         rho = nm.lindblad_evolve(rho0, *_gamma_nm(SQUEEZED), 0.8)
         assert rho.purity() == pytest.approx(
             ng.psi01_purity_t(vartheta, SQUEEZED, 0.8), abs=1e-9)
 
     def test_evolve_matches_trajectory_endpoint(self):
-        rho0 = nm.psi01_state(0.6, 2)
+        rho0 = nm.psi01_state(0.6)
         t = 0.9
         end = nm.lindblad_evolve(rho0, *_gamma_nm(SQUEEZED), t)
         purities = nm.lindblad_purities(rho0, *_gamma_nm(SQUEEZED), [t / 2, t])
