@@ -318,16 +318,14 @@ CRITERIA: dict[int, tuple[str, Callable[[], tuple[bool, str]]]] = {
 
 
 def run_criterion(number: int) -> tuple[bool, str]:
-    name, func = CRITERIA[number]
-    passed, detail = func()
-    return passed, detail
+    return CRITERIA[number][1]()
 
 
 def run_all(report: Callable[[str], None] = print) -> bool:
     """Run every criterion, emitting one pass/fail line each."""
     all_ok = True
-    for number, (name, func) in sorted(CRITERIA.items()):
-        passed, detail = func()
+    for number, (name, _) in sorted(CRITERIA.items()):
+        passed, detail = run_criterion(number)
         all_ok = all_ok and passed
         status = "PASS" if passed else "FAIL"
         report(f"{status} criterion {number} ({name}): {detail}")

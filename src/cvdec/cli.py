@@ -40,16 +40,28 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class Scenario:
+    """A checked config, its initial block parsed; the columns read it."""
+
     kind: str
-    initial: dict
+    initial: object
     baths: tuple[ch.BathParams, ...]
     times: np.ndarray
     quantities: tuple[str, ...]
     oracle: bool = False
+    state0: ps.GaussianState | None = None
 
     @property
     def channel(self) -> ch.ChannelSpec:
         return ch.ChannelSpec(self.baths)
+
+    @property
+    def bath(self) -> ch.BathParams:
+        return self.baths[0]
+
+    @functools.cached_property
+    def state(self) -> ps.GaussianState:
+        """Evolved states, checked once: a (T, 2n, 2n) stack of matrices."""
+        return ch.evolve_moments(self.state0, self.channel, self.times)
 
 
 @dataclass
@@ -102,36 +114,86 @@ def _integer(p: dict, key: str) -> int:
     return x
 
 
+def _only(p: dict, *keys: str) -> dict:
+    """p, once every key of it is one of keys."""
+    unknown = [k for k in p if k not in keys]
+    _require(not unknown, f"unknown key(s) {unknown}, expected {list(keys)}")
+    return p
+
+
+def _numbers(p: dict, **defaults: float | None) -> dict[str, float]:
+    """The keys of defaults, each read from p as a JSON number (required
+    where its default is None), once p has no other key."""
+    _only(p, *defaults)
+    return {k: _number(p, k, d) for k, d in defaults.items()}
+
+
+def _two_mode_initial(p: dict) -> tm.StandardForm:
+    if "a" in p:
+        return tm.StandardForm(**_numbers(p, a=None, b=None, c1=None, c2=None))
+    return tm.SqueezedThermalParams(
+        **_numbers(p, mu=None, r=None)).standard_form
+
+
+def _cat_initial(p: dict) -> ng.CatState:
+    x0 = _only(p, "x0", "r0", "theta")["x0"]
+    _require(isinstance(x0, list)
+             and all(type(x) in (int, float) for x in x0),
+             "x0 must be a list of JSON numbers")
+    return ng.CatState(x0=np.asarray(x0, dtype=float),
+                       r0=_number(p, "r0", 0.0), theta=_number(p, "theta", 0.0))
+
+
+# kind -> (its bath count, the parser of its initial block, and the checked
+# initial GaussianState of the parsed block, or None for a non-Gaussian kind)
+_KINDS = {
+    "single-gaussian": (1, lambda p: ps.SingleModeParams(
+        **_numbers(p, mu=None, r=0.0, phi=0.0)), ps.GaussianState.from_params),
+    "cat": (1, _cat_initial, None),
+    "fock": (1, lambda p: _integer(_only(p, "n"), "n"), None),
+    "psi01": (1, lambda p: _numbers(p, vartheta=None)["vartheta"], None),
+    "two-mode": (2, _two_mode_initial, lambda sf: sf.state),
+    "fidelity": (2, lambda p: tm.SqueezedThermalParams(
+        **_numbers(p, mu=1.0, r=None)), lambda p: p.standard_form.state),
+}
+
+
 def parse_scenario(raw: dict) -> Scenario:
+    """Check the whole config, the initial state's physicality included."""
     _require(isinstance(raw, dict), "scenario must be a JSON object")
+    _only(raw, "kind", "initial", "baths", "grid", "quantities", "oracle")
     _require(_finite(raw), "every number in the scenario must be finite")
     kind = raw.get("kind")
-    _require(isinstance(kind, str) and kind in _INITIAL,
-             f"kind must be one of {tuple(_INITIAL)}")
+    _require(isinstance(kind, str) and kind in _KINDS,
+             f"kind must be one of {tuple(_KINDS)}")
+    n_baths, parse, initial_state = _KINDS[kind]
     initial = raw.get("initial")
     _require(isinstance(initial, dict), "initial parameters are required")
+    try:
+        initial = parse(initial)
+        state0 = initial_state(initial) if initial_state else None
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid {kind} parameters: {exc}") from exc
 
     baths_raw = raw.get("baths")
     _require(isinstance(baths_raw, list) and baths_raw,
              "at least one bath is required")
-    n_expected = 2 if kind in ("two-mode", "fidelity") else 1
-    _require(len(baths_raw) == n_expected,
-             f"kind {kind!r} requires exactly {n_expected} bath(s)")
+    _require(len(baths_raw) == n_baths,
+             f"kind {kind!r} requires exactly {n_baths} bath(s)")
     baths = []
     for item in baths_raw:
         _require(isinstance(item, dict) and "gamma" in item and "mu_inf" in item,
                  "each bath needs explicit gamma and mu_inf")
         try:
-            baths.append(ch.BathParams(
-                gamma=_number(item, "gamma"), mu_inf=_number(item, "mu_inf"),
-                r_inf=_number(item, "r_inf", 0.0),
-                phi_inf=_number(item, "phi_inf", 0.0)))
+            baths.append(ch.BathParams(**_numbers(
+                item, gamma=None, mu_inf=None, r_inf=0.0, phi_inf=0.0)))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"invalid bath parameters: {exc}") from exc
 
     grid = raw.get("grid")
     _require(isinstance(grid, dict), "a time grid is required")
     try:
+        _only(grid, "start", "stop", "points", "spacing")
         start, stop = _number(grid, "start"), _number(grid, "stop")
         points = _integer(grid, "points")
     except (KeyError, TypeError, ValueError) as exc:
@@ -159,8 +221,7 @@ def parse_scenario(raw: dict) -> Scenario:
     if kind == "fock" and "xi" in quantities:
         _require(baths[0].is_thermal,
                  "xi for Fock states requires a thermal bath")
-        n = initial.get("n")
-        _require(type(n) is not int or n <= ng.FOCK_XI_MAX_N,
+        _require(initial <= ng.FOCK_XI_MAX_N,
                  f"xi for Fock states needs n <= {ng.FOCK_XI_MAX_N}")
     first = baths[0]
     _require(kind != "fidelity" or "fidelity" not in quantities
@@ -173,78 +234,17 @@ def parse_scenario(raw: dict) -> Scenario:
         print("warning: xi of a Gaussian state is identically 0",
               file=sys.stderr)
 
-    return Scenario(kind=kind, initial=dict(initial), baths=tuple(baths),
+    return Scenario(kind=kind, initial=initial, baths=tuple(baths),
                     times=times, quantities=tuple(quantities),
-                    oracle=oracle)
+                    oracle=oracle, state0=state0)
 
 
 # ---------------------------------------------------------------------------
 # the (kind, quantity) table: each quantity of each kind is a closed form and
-# an oracle, both computed over the whole time grid
+# an oracle, both computed over the whole time grid of a Scenario
 # ---------------------------------------------------------------------------
 
-def _two_mode_initial(p: dict) -> tm.StandardForm:
-    if "a" in p:
-        return tm.StandardForm(a=_number(p, "a"), b=_number(p, "b"),
-                               c1=_number(p, "c1"), c2=_number(p, "c2"))
-    return tm.SqueezedThermalParams(mu=_number(p, "mu"),
-                                    r=_number(p, "r")).standard_form
-
-
-def _cat_initial(p: dict) -> ng.CatState:
-    x0 = p["x0"]
-    _require(isinstance(x0, list)
-             and all(type(x) in (int, float) for x in x0),
-             "x0 must be a list of JSON numbers")
-    return ng.CatState(x0=np.asarray(x0, dtype=float),
-                       r0=_number(p, "r0", 0.0), theta=_number(p, "theta", 0.0))
-
-
-# kind -> parser of its initial parameters
-_INITIAL = {
-    "single-gaussian": lambda p: ps.SingleModeParams(
-        mu=_number(p, "mu"), r=_number(p, "r", 0.0),
-        phi=_number(p, "phi", 0.0)),
-    "cat": _cat_initial,
-    "fock": lambda p: _integer(p, "n"),
-    "psi01": lambda p: _number(p, "vartheta"),
-    "two-mode": _two_mode_initial,
-    "fidelity": lambda p: tm.SqueezedThermalParams(
-        mu=_number(p, "mu", 1.0), r=_number(p, "r")),
-}
-
-# Gaussian kind -> checked initial state of its parsed initial parameters
-_INITIAL_STATE = {
-    "single-gaussian": ps.GaussianState.from_params,
-    "two-mode": lambda sf: sf.state,
-    "fidelity": lambda p: p.standard_form.state,
-}
-
-
-@dataclass
-class _Grid:
-    """What a column is computed from: the scenario, its parsed and checked
-    initial states, and the evolved Gaussian states, built on first use."""
-
-    s: Scenario
-    init: object
-    state0: ps.GaussianState | None
-
-    @property
-    def t(self) -> np.ndarray:
-        return self.s.times
-
-    @property
-    def bath(self) -> ch.BathParams:
-        return self.s.baths[0]
-
-    @functools.cached_property
-    def state(self) -> ps.GaussianState:
-        """Evolved states, checked once: a (T, 2n, 2n) stack of matrices."""
-        return ch.evolve_moments(self.state0, self.s.channel, self.t)
-
-
-_Column = Callable[[_Grid], np.ndarray]
+_Column = Callable[[Scenario], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -257,60 +257,61 @@ class _Row:
     path: str
 
 
-def _each(f: Callable[[_Grid, float], float]) -> _Column:
+def _each(f: Callable[[Scenario, float], float]) -> _Column:
     """A column computed point by point: the box quadratures, which have
     no form over an array of times."""
-    return lambda g: np.array([f(g, float(t)) for t in g.t])
+    return lambda s: np.array([f(s, float(t)) for t in s.times])
 
 
-def _single_entropy(g: _Grid) -> np.ndarray:
+def _single_entropy(s: Scenario) -> np.ndarray:
     # f(1/2μ) with μ = 1/(2√Det σ) capped at 1, as params_from_cm gives it
-    mu = np.minimum(ps.purity_gaussian(g.state), 1.0)
+    mu = np.minimum(ps.purity_gaussian(s.state), 1.0)
     return ps.entropy_function(1.0 / (2.0 * mu))
 
 
-def _mirrored_log_negativity(g: _Grid) -> np.ndarray:
+def _mirrored_log_negativity(s: Scenario) -> np.ndarray:
     # symplectic spectrum of the mirror-reflected covariance matrix
     mirror = np.diag([1.0, 1.0, 1.0, -1.0])
-    nu = np.min(ps.symplectic_eigenvalues(mirror @ g.state.cm @ mirror), axis=-1)
+    nu = np.min(ps.symplectic_eigenvalues(mirror @ s.state.cm @ mirror), axis=-1)
     return np.maximum(0.0, -np.log(2.0 * nu))
 
 
-def _spectral_purity(g: _Grid) -> np.ndarray:
+def _spectral_purity(s: Scenario) -> np.ndarray:
     # 1/(4 ν₊ν₋), from the state's spectrum rather than from a determinant
-    nu = ps.symplectic_eigenvalues(g.state)
+    nu = ps.symplectic_eigenvalues(s.state)
     return 1.0 / (4.0 * nu[..., 0] * nu[..., 1])
 
 
-def _lindblad_purities(g: _Grid, rho0: nm.TruncatedDensityMatrix) -> np.ndarray:
-    return nm.lindblad_purities(rho0, g.bath.gamma, *ch.nm_from_bath(g.bath), g.t)
+def _lindblad_purities(s: Scenario,
+                       rho0: nm.TruncatedDensityMatrix) -> np.ndarray:
+    return nm.lindblad_purities(rho0, s.bath.gamma, *ch.nm_from_bath(s.bath),
+                                s.times)
 
 
-def _fock_purity(g: _Grid) -> np.ndarray:
-    if g.bath.is_thermal:
-        return ng.fock_purity_thermal(g.init, g.bath.mu_inf, g.t, g.bath.gamma)
-    return ng.fock_purity_t(g.init, g.bath, g.t)
+def _fock_purity(s: Scenario) -> np.ndarray:
+    if s.bath.is_thermal:
+        return ng.fock_purity_thermal(s.initial, s.bath.mu_inf, s.times,
+                                      s.bath.gamma)
+    return ng.fock_purity_t(s.initial, s.bath, s.times)
 
 
-def _fock_xi_box(g: _Grid, t: float) -> float:
-    w = ng.fock_wigner_t(g.init, g.bath.mu_inf, t, g.bath.gamma)
+def _fock_xi_box(s: Scenario, t: float) -> float:
+    w = ng.fock_wigner_t(s.initial, s.bath.mu_inf, t, s.bath.gamma)
     return ng.negative_part(w, tol=1e-8).xi
 
 
-def _cat_xi_box(g: _Grid, t: float) -> float:
-    return ng.negative_part(ng.cat_wigner_t(g.init, g.bath, t), tol=1e-8).xi
+def _cat_xi_box(s: Scenario, t: float) -> float:
+    return ng.negative_part(ng.cat_wigner_t(s.initial, s.bath, t), tol=1e-8).xi
 
 
-def _cat_xi(g: _Grid) -> np.ndarray:
+def _cat_xi(s: Scenario, t: float) -> float:
     # exactly 0 from ch.t_pos on, where W_t >= 0 for every input state;
     # the box quadrature before it
-    t_pos = ch.t_pos(g.bath)
-    return np.array([_cat_xi_box(g, t) if t < t_pos else 0.0
-                     for t in map(float, g.t)])
+    return _cat_xi_box(s, t) if t < ch.t_pos(s.bath) else 0.0
 
 
-def _cat_box_purity(g: _Grid, t: float) -> float:
-    return ng.wigner_purity(ng.cat_wigner_t(g.init, g.bath, t), tol=1e-9)
+def _cat_box_purity(s: Scenario, t: float) -> float:
+    return ng.wigner_purity(ng.cat_wigner_t(s.initial, s.bath, t), tol=1e-9)
 
 
 def _repeated(f: _Column) -> _Row:
@@ -320,49 +321,50 @@ def _repeated(f: _Column) -> _Row:
 
 _TABLE: dict[tuple[str, str], _Row] = {
     ("single-gaussian", "purity"): _Row(
-        lambda g: ch.single_mode_purity_t(g.init, g.bath, g.t),
-        lambda g: ps.purity_gaussian(g.state), "CM determinant"),
+        lambda s: ch.single_mode_purity_t(s.initial, s.bath, s.times),
+        lambda s: ps.purity_gaussian(s.state), "CM determinant"),
     ("single-gaussian", "entropy"): _Row(
-        _single_entropy, lambda g: ps.von_neumann_entropy(g.state),
+        _single_entropy, lambda s: ps.von_neumann_entropy(s.state),
         "CM spectrum"),
     ("single-gaussian", "tau"): _Row(
-        lambda g: ch.single_mode_tau_t(g.init, g.bath, g.t),
-        lambda g: ps.nonclassical_depth_gaussian(g.state), "CM eigenvalues"),
-    ("single-gaussian", "xi"): _repeated(lambda g: np.zeros_like(g.t)),
+        lambda s: ch.single_mode_tau_t(s.initial, s.bath, s.times),
+        lambda s: ps.nonclassical_depth_gaussian(s.state), "CM eigenvalues"),
+    ("single-gaussian", "xi"): _repeated(lambda s: np.zeros_like(s.times)),
     ("cat", "purity"): _Row(
-        lambda g: ng.cat_purity_t(g.init, g.bath, g.t),
+        lambda s: ng.cat_purity_t(s.initial, s.bath, s.times),
         _each(_cat_box_purity), "box quadrature"),
-    ("cat", "xi"): _Row(_cat_xi, _each(_cat_xi_box),
+    ("cat", "xi"): _Row(_each(_cat_xi), _each(_cat_xi_box),
                         "box quadrature, independent from t_pos on"),
     ("fock", "purity"): _Row(
         _fock_purity,
-        lambda g: _lindblad_purities(g, nm.fock_state(g.init)),
+        lambda s: _lindblad_purities(s, nm.fock_state(s.initial)),
         "Lindblad trajectory"),
     ("fock", "xi"): _Row(
-        lambda g: ng.fock_xi_t(g.init, g.bath.mu_inf, g.t, g.bath.gamma),
+        lambda s: ng.fock_xi_t(s.initial, s.bath.mu_inf, s.times,
+                               s.bath.gamma),
         _each(_fock_xi_box), "box quadrature"),
     ("psi01", "purity"): _Row(
-        lambda g: ng.psi01_purity_t(g.init, g.bath, g.t),
-        lambda g: _lindblad_purities(g, nm.psi01_state(g.init)),
+        lambda s: ng.psi01_purity_t(s.initial, s.bath, s.times),
+        lambda s: _lindblad_purities(s, nm.psi01_state(s.initial)),
         "Lindblad trajectory"),
     ("two-mode", "purity"): _Row(
-        lambda g: ps.purity_gaussian(g.state), _spectral_purity,
+        lambda s: ps.purity_gaussian(s.state), _spectral_purity,
         "CM spectrum"),
     ("two-mode", "entropy"): _repeated(
-        lambda g: ps.von_neumann_entropy(g.state)),
+        lambda s: ps.von_neumann_entropy(s.state)),
     ("two-mode", "tau"): _repeated(
-        lambda g: ps.nonclassical_depth_gaussian(g.state)),
+        lambda s: ps.nonclassical_depth_gaussian(s.state)),
     ("two-mode", "logneg"): _Row(
-        lambda g: tm.log_negativity(g.state), _mirrored_log_negativity,
+        lambda s: tm.log_negativity(s.state), _mirrored_log_negativity,
         "mirrored CM spectrum"),
     ("two-mode", "mutual-info"): _repeated(
-        lambda g: tm.mutual_information(g.state)),
+        lambda s: tm.mutual_information(s.state)),
     ("two-mode", "fidelity"): _repeated(
-        lambda g: tm.teleportation_fidelity(g.state)),
+        lambda s: tm.teleportation_fidelity(s.state)),
     ("fidelity", "fidelity"): _Row(
-        lambda g: tm.fidelity_t(g.init, g.s.channel, g.t),
-        lambda g: tm.teleportation_fidelity(g.state), "CM invariants"),
-    ("fidelity", "logneg"): _repeated(lambda g: tm.log_negativity(g.state)),
+        lambda s: tm.fidelity_t(s.initial, s.channel, s.times),
+        lambda s: tm.teleportation_fidelity(s.state), "CM invariants"),
+    ("fidelity", "logneg"): _repeated(lambda s: tm.log_negativity(s.state)),
 }
 
 
@@ -371,15 +373,10 @@ def run_scenario(s: Scenario) -> ResultTable:
     column, then every oracle column, each from one row of the table.  A
     row labelled "none" is evaluated once: its oracle column is its plain
     column."""
-    try:
-        init = _INITIAL[s.kind](s.initial)
-        grid = _Grid(s, init, _INITIAL_STATE.get(s.kind, lambda _: None)(init))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid {s.kind} parameters: {exc}") from exc
     rows = [_TABLE[(s.kind, q)] for q in s.quantities]
-    plain = [np.asarray(row.closed(grid), dtype=float) for row in rows]
+    plain = [np.asarray(row.closed(s), dtype=float) for row in rows]
     oracle = ([p if row.oracle is row.closed
-               else np.asarray(row.oracle(grid), dtype=float)
+               else np.asarray(row.oracle(s), dtype=float)
                for row, p in zip(rows, plain)] if s.oracle else [])
     diffs = [np.abs(p - o) for p, o in zip(plain, oracle)]
     columns, values = ["t"], [s.times]
@@ -417,10 +414,6 @@ def _cmd_run(args) -> int:
             scenario = dataclasses.replace(scenario, oracle=True)
         _require(args.tolerance is None or 0.0 <= args.tolerance < math.inf,
                  f"--tolerance must be a finite number >= 0: {args.tolerance}")
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    try:
         table = run_scenario(scenario)
         emit(table, args.out)
     except ConfigError as exc:

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import os
@@ -42,6 +43,46 @@ def _read_csv(path):
     return header, rows
 
 
+_TWO_BATHS = [{"gamma": 1.0, "mu_inf": 0.5}] * 2
+
+# (mutation of _single_config, the unknown key it adds)
+_UNKNOWN_KEYS = [
+    ({"baths": [{"gamma": 1, "mu_inf": 0.5, "rinf": 0.3}]}, "rinf"),
+    ({"initial": {"mu": 0.8, "R": 0.3}}, "R"),
+    ({"orcale": True}, "orcale"),
+    ({"grid": {"start": 0.0, "stop": 2.0, "points": 5, "spaceing": "log"}},
+     "spaceing"),
+    ({"kind": "fock", "initial": {"n": 2, "m": 1}, "quantities": ["purity"]},
+     "m"),
+    ({"kind": "psi01", "initial": {"vartheta": 0.3, "theta": 0.1},
+      "quantities": ["purity"]}, "theta"),
+    ({"kind": "cat", "initial": {"x0": [1.0, 0.0], "phi": 0.2},
+      "quantities": ["purity"]}, "phi"),
+    ({"kind": "fidelity", "initial": {"mu": 1.0, "r": 1.0, "phi": 0.0},
+      "baths": _TWO_BATHS, "quantities": ["fidelity"]}, "phi"),
+    # a two-mode state is {a, b, c1, c2} or {mu, r}, not a mix
+    ({"kind": "two-mode", "initial": {"a": 1.2, "b": 1.0, "c1": 0.5,
+                                      "c2": -0.7, "mu": 0.8},
+      "baths": _TWO_BATHS, "quantities": ["purity"]}, "mu"),
+    ({"kind": "two-mode", "initial": {"mu": 0.8, "r": 0.5, "c1": 0.5},
+      "baths": _TWO_BATHS, "quantities": ["purity"]}, "c1"),
+]
+
+# (mutation of _single_config with an initial block that cannot run, kind)
+_INVALID_INITIAL = [
+    ({"initial": {"mu": 2.0}}, "single-gaussian"),
+    ({"kind": "psi01", "initial": {}, "quantities": ["purity"]}, "psi01"),
+    # ν = 0.1 behind entries of 1e6
+    ({"kind": "two-mode",
+      "initial": {"a": 1e6, "b": 1e6, "c1": 999999.999999995,
+                  "c2": -999999.999999995},
+      "baths": _TWO_BATHS, "quantities": ["purity"]}, "two-mode"),
+    # a vanishing superposition
+    ({"kind": "cat", "initial": {"x0": [0, 0], "theta": math.pi},
+      "quantities": ["purity"]}, "cat"),
+]
+
+
 class TestParsing:
     def test_minimal_scenario(self):
         s = cli.parse_scenario(_single_config())
@@ -81,9 +122,21 @@ class TestParsing:
         {"oracle": 1},
         # a repeated quantity would repeat a CSV header
         {"quantities": ["purity", "purity"]},
+        # a two-mode state with keys of both forms
+        {"kind": "two-mode", "initial": {"mu": 0.8, "r": 0.5, "a": 1.2},
+         "baths": _TWO_BATHS, "quantities": ["purity"]},
+        *(mutation for mutation, _ in _UNKNOWN_KEYS),
     ])
     def test_invalid_configs_rejected(self, mutation):
         with pytest.raises(cli.ConfigError):
+            cli.parse_scenario(_single_config(**mutation))
+
+    @pytest.mark.parametrize("mutation,kind", _INVALID_INITIAL)
+    def test_initial_block_checked_by_parse(self, mutation, kind):
+        # the initial state is checked when the config is, before any column
+        # is evaluated
+        with pytest.raises(cli.ConfigError,
+                           match=f"invalid {kind} parameters: "):
             cli.parse_scenario(_single_config(**mutation))
 
     def test_log_grid_requires_positive_start(self):
@@ -218,6 +271,27 @@ class TestEndToEnd:
         cfg = _write(tmp_path, "bad.json", _single_config(**mutation))
         out = tmp_path / "out.csv"
         assert cli.main(["run", cfg, "--out", str(out)]) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mutation,key", _UNKNOWN_KEYS)
+    def test_unknown_key_exits_1(self, tmp_path, capsys, mutation, key):
+        cfg = _write(tmp_path, "bad.json", _single_config(**mutation))
+        out = tmp_path / "out.csv"
+        assert cli.main(["run", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and f"'{key}'" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mutation,kind", _INVALID_INITIAL)
+    def test_invalid_initial_block_exits_1(self, tmp_path, capsys, mutation,
+                                           kind):
+        cfg = _write(tmp_path, "bad.json", _single_config(**mutation))
+        out = tmp_path / "out.csv"
+        assert cli.main(["run", cfg, "--out", str(out), "--oracle"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: invalid {kind} parameters: ")
+        assert "Traceback" not in err
         assert not out.exists()
 
     def test_fock_run_with_oracle(self, tmp_path):
@@ -604,9 +678,33 @@ _KIND_CONFIGS = {
 }
 
 
-def _pointwise(s, t):
-    """(closed, oracle) per quantity at one time, by scalar calls."""
-    bath, init = s.baths[0], s.initial
+_spec = importlib.util.spec_from_file_location(
+    "perfbench_workloads",
+    Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
+workloads = importlib.util.module_from_spec(_spec)
+sys.modules[_spec.name] = workloads  # where a dataclass looks up its module
+_spec.loader.exec_module(workloads)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("workload", sorted(workloads.WORKLOADS))
+def test_benchmark_configs_parse(workload, seed):
+    # a config that parse_scenario rejects would end a benchmark run as
+    # run_failed
+    for sc in workloads.scenarios(workload, seed):
+        assert cli.parse_scenario(sc.config).kind == sc.config["kind"], sc.name
+
+
+@pytest.mark.parametrize("kind", sorted(_KIND_CONFIGS))
+def test_kind_configs_parse(kind):
+    s = cli.parse_scenario(_KIND_CONFIGS[kind])
+    assert (s.state0 is None) == (s.kind in ("cat", "fock", "psi01"))
+
+
+def _pointwise(s, init, t):
+    """(closed, oracle) per quantity at one time, by scalar calls from the
+    raw initial block init."""
+    bath = s.baths[0]
     if s.kind == "single-gaussian":
         p = ps.SingleModeParams(init["mu"], init["r"], init["phi"])
         cm = ch.evolve_moments(ps.GaussianState(np.zeros(2),
@@ -677,7 +775,8 @@ def test_table_matches_pointwise_functions(kind):
             for i, c in enumerate(table.columns)}
     assert cols["t"] == list(s.times)
     for i, t in enumerate(s.times):
-        for q, (closed, oracle) in _pointwise(s, float(t)).items():
+        for q, (closed, oracle) in _pointwise(
+                s, _KIND_CONFIGS[kind]["initial"], float(t)).items():
             assert cols[q][i] == closed, (q, t)
             if cli._TABLE[(s.kind, q)].path == "Lindblad trajectory":
                 assert cols[f"{q}_oracle"][i] == pytest.approx(oracle,
@@ -710,9 +809,8 @@ def test_evolved_stack_checked_once(kind, monkeypatch):
 
 @pytest.mark.parametrize("kind", ["two-mode", "two-mode-unequal", "fidelity"])
 def test_initial_state_checked_and_evolved_once(kind, monkeypatch):
-    # the initial 4x4 matrix is checked once, by its StandardForm, and the
-    # state is evolved once, whatever the couplings
-    s = cli.parse_scenario(dict(_KIND_CONFIGS[kind], oracle=True))
+    # the initial 4x4 matrix is checked once, by its StandardForm when the
+    # config is parsed, and the state is evolved once, whatever the couplings
     checks, evolved = [], []
     check, evolve = ps.check_physical, ch.evolve_moments
 
@@ -727,7 +825,7 @@ def test_initial_state_checked_and_evolved_once(kind, monkeypatch):
     monkeypatch.setattr(ps, "check_physical", counted_check)
     monkeypatch.setattr(ch, "evolve_moments", counted_evolve)
     monkeypatch.setattr(tm, "evolve_moments", counted_evolve)
-    cli.run_scenario(s)
+    cli.run_scenario(cli.parse_scenario(dict(_KIND_CONFIGS[kind], oracle=True)))
     assert checks.count((4, 4)) == 1
     assert len(evolved) == 1
 
